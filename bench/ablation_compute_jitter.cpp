@@ -43,9 +43,7 @@ ScenarioResult run_scheduled(const JobProfile& p, Duration jitter,
       make_flow_schedule(group, sr.rotations, TimePoint::origin());
   std::vector<ScenarioJob> jobs = {{"J1", p}, {"J2", p}};
   for (int i = 0; i < 2; ++i) {
-    jobs[i].gate = CommGate{fs.epoch, fs.slots[i].start_offset,
-                            fs.slots[i].period, fs.slots[i].phase_offsets,
-                            fs.slots[i].window};
+    jobs[i].gate = CommGate::from_schedule(fs, i);
     jobs[i].start_offset = fs.slots[i].job_start_offset;
     jobs[i].compute_jitter = jitter;
   }

@@ -74,10 +74,7 @@ void compare(SweepRunner& pool, const char* title, const JobProfile& a,
       specs.push_back({"flow schedule (paper 4iii)", PolicyKind::kMaxMinFair,
                        [fs](std::vector<ScenarioJob>& jobs) {
                          for (int i = 0; i < 2; ++i) {
-                           jobs[i].gate = CommGate{
-                               fs.epoch, fs.slots[i].start_offset,
-                               fs.slots[i].period, fs.slots[i].phase_offsets,
-                               fs.slots[i].window};
+                           jobs[i].gate = CommGate::from_schedule(fs, i);
                            jobs[i].start_offset = fs.slots[i].job_start_offset;
                          }
                        }});

@@ -1,43 +1,15 @@
 #include "cluster/experiment.h"
 
 #include <algorithm>
-#include <cassert>
 #include <map>
-#include <numeric>
 
-#include "faults/injector.h"
-#include "obs/trace_bus.h"
-#include "sim/simulator.h"
-#include "telemetry/recorders.h"
+#include "cluster/run_assembly.h"
+#include "core/schedule.h"
 #include "util/stats.h"
+#include "util/union_find.h"
 #include "workload/job.h"
-#include "workload/profiler.h"
 
 namespace ccml {
-
-namespace {
-
-/// Union-find over job indices, used to group jobs that (transitively) share
-/// links — the paper's §5 cluster-level compatibility domains.
-class UnionFind {
- public:
-  explicit UnionFind(std::size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), 0);
-  }
-  std::size_t find(std::size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  void unite(std::size_t a, std::size_t b) { parent_[find(a)] = find(b); }
-
- private:
-  std::vector<std::size_t> parent_;
-};
-
-}  // namespace
 
 double ExperimentResult::mean_slowdown() const {
   Summary s;
@@ -62,37 +34,16 @@ ExperimentResult run_cluster_experiment(const Topology& topo,
   ExperimentResult result;
   result.placement = placement.place(topo, requests);
 
-  Simulator sim;
-  Network net(topo, make_policy(config.policy, config.transports), config.net);
-  net.attach(sim);
-  std::unique_ptr<TraceThroughputSampler> sampler;
-  if (config.trace != nullptr) {
-    for (std::size_t j = 0; j < requests.size(); ++j) {
-      config.trace->register_job(JobId{static_cast<std::int32_t>(j)},
-                                 requests[j].name);
-    }
-    sampler = bind_trace_bus(*config.trace, net);
-  }
-  const Router router(topo);
-
-  // Host NIC effective goodput, for solo baselines.
-  Rate nic_goodput = Rate::zero();
-  for (const NodeId host : topo.hosts()) {
-    nic_goodput = net.effective_capacity(topo.links_from(host).front());
-    break;
-  }
+  RunAssembly run(topo, config.policy, config.transports, config.net,
+                  /*trace=*/nullptr);
+  const Rate nic_goodput = run.host_goodput();
 
   // Optional flow schedule: group jobs transitively by shared links, solve
-  // each group on one unified circle, convert rotations to comm gates.  The
-  // solve is reusable so faults that change the topology or job set can
-  // request a fresh schedule mid-run (epoch'd at the current instant, with
-  // departed jobs excluded).
+  // each group on one unified circle, convert rotations to comm gates and
+  // recommended start offsets.
   std::vector<std::optional<CommGate>> gates(requests.size());
   std::vector<Duration> start_offsets(requests.size(), Duration::zero());
-  std::vector<bool> departed(requests.size(), false);
-  const auto solve_gates = [&](TimePoint epoch,
-                               std::vector<std::optional<CommGate>>& out,
-                               std::vector<Duration>* offsets) {
+  if (config.flow_schedule) {
     UnionFind uf(requests.size());
     for (const auto& sl : result.placement.shared_links) {
       for (std::size_t i = 1; i < sl.jobs.size(); ++i) {
@@ -101,7 +52,7 @@ ExperimentResult run_cluster_experiment(const Topology& topo,
     }
     std::map<std::size_t, std::vector<std::size_t>> groups;
     for (std::size_t j = 0; j < requests.size(); ++j) {
-      if (!departed[j] && !result.placement.placements[j].hosts.empty()) {
+      if (!result.placement.placements[j].hosts.empty()) {
         groups[uf.find(j)].push_back(j);
       }
     }
@@ -113,46 +64,26 @@ ExperimentResult run_cluster_experiment(const Topology& topo,
         profiles.push_back(requests[j].comm_profile);
       }
       const SolverResult sr = solver.solve(profiles);
-      if (config.trace != nullptr) {
-        TraceEvent ev;
-        ev.time = epoch;
-        ev.kind = TraceEventKind::kSolve;
-        ev.value = sr.compatible ? 1.0 : 0.0;
-        ev.value2 = sr.violation_fraction;
-        config.trace->emit(ev);
-        config.trace->counter("solver.solves").add();
-      }
       // Gating an incompatible group is actively harmful: contention
       // stretches a communication phase past its slot, the job waits a full
       // period for the next one, and iteration times balloon.  Precise flow
       // scheduling is only applied where the solver proves compatibility;
       // incompatible groups fall back to ungated transport.
       if (!sr.compatible) continue;
-      const FlowSchedule fs = make_flow_schedule(profiles, sr.rotations, epoch);
+      const FlowSchedule fs =
+          make_flow_schedule(profiles, sr.rotations, TimePoint::origin());
       for (std::size_t k = 0; k < members.size(); ++k) {
-        const std::size_t j = members[k];
-        out[j] = CommGate{fs.epoch, fs.slots[k].start_offset,
-                          fs.slots[k].period, fs.slots[k].phase_offsets,
-                          fs.slots[k].window};
-        if (offsets) (*offsets)[j] = fs.slots[k].job_start_offset;
+        gates[members[k]] = CommGate::from_schedule(fs, k);
+        start_offsets[members[k]] = fs.slots[k].job_start_offset;
       }
     }
-  };
-  if (config.flow_schedule) {
-    solve_gates(TimePoint::origin(), gates, &start_offsets);
   }
 
   std::vector<std::unique_ptr<TrainingJob>> jobs;
-  std::vector<TrainingJob*> by_request(requests.size(), nullptr);
   for (std::size_t j = 0; j < requests.size(); ++j) {
     const Placement& p = result.placement.placements[j];
     if (p.hosts.empty()) continue;
-    JobSpec spec;
-    spec.id = JobId{static_cast<std::int32_t>(j)};
-    spec.name = requests[j].name;
-    spec.profile = requests[j].profile;
-    spec.paths = ring_paths(topo, router, p.hosts, j);
-    spec.split_bytes = false;  // ring: full wire bytes per worker path
+    JobSpec spec = ring_job_spec(topo, run.router, requests[j], p.hosts, j);
     spec.start = TimePoint::origin() + start_offsets[j];
     if (config.unique_priorities) {
       spec.priority = static_cast<int>(j);
@@ -160,81 +91,11 @@ ExperimentResult run_cluster_experiment(const Topology& topo,
       spec.weight = 1.0;
     }
     spec.gate = gates[j];
-    if (spec.paths.empty()) {
-      // Single-worker job: no network phase; synthesize a loop-back-free
-      // profile with zero communication so it still reports iterations.
-      spec.profile.comm_bytes = Bytes::zero();
-      spec.paths = {JobPath{p.hosts[0], p.hosts[0], Route{}}};
-    }
-    jobs.push_back(std::make_unique<TrainingJob>(sim, net, std::move(spec)));
-    by_request[j] = jobs.back().get();
+    jobs.push_back(
+        std::make_unique<TrainingJob>(run.sim, run.net, std::move(spec)));
   }
-
-  // --- Fault injection -----------------------------------------------------
-  const bool faulty = !config.faults.empty();
-  std::unique_ptr<FaultInjector> injector;
-  if (faulty) {
-    injector = std::make_unique<FaultInjector>(sim, net, config.faults);
-    for (std::size_t j = 0; j < requests.size(); ++j) {
-      if (by_request[j]) {
-        injector->bind_job(JobId{static_cast<std::int32_t>(j)},
-                           *by_request[j]);
-      }
-    }
-    const auto resolve_now = [&] {
-      if (!config.flow_schedule) return;
-      std::vector<std::optional<CommGate>> fresh(requests.size());
-      solve_gates(sim.now(), fresh, nullptr);
-      for (std::size_t j = 0; j < requests.size(); ++j) {
-        if (by_request[j] && !departed[j]) by_request[j]->set_gate(fresh[j]);
-      }
-    };
-    injector->on_topology_change = [&, resolve_now](const FaultEvent& ev) {
-      if (!config.flow_schedule) return;
-      if (ev.factor <= 0.0) {
-        // Outage: schedules solved for the healthy fabric are stale.
-        for (std::size_t j = 0; j < requests.size(); ++j) {
-          if (by_request[j] && !departed[j]) {
-            by_request[j]->set_gate(std::nullopt);
-          }
-        }
-      } else {
-        resolve_now();
-      }
-    };
-    injector->on_jobset_change = [&, resolve_now](const FaultEvent& ev) {
-      if (ev.kind == FaultKind::kJobDepart) {
-        departed[static_cast<std::size_t>(ev.job.value)] = true;
-      }
-      if (ev.kind == FaultKind::kJobDepart ||
-          ev.kind == FaultKind::kJobArrive) {
-        resolve_now();
-      }
-    };
-  }
-  WatchdogConfig wd = config.watchdog;
-  if (faulty) {
-    if (wd.max_events == 0) wd.max_events = 20'000'000;
-    if (wd.max_sim_time.is_zero()) wd.max_sim_time = config.run_time * 4;
-  }
-  if (wd.max_events != 0 || !wd.max_sim_time.is_zero()) {
-    sim.set_watchdog(wd, [&net, &injector] {
-      std::string out =
-          injector ? injector->diagnose() : std::string("fault state: none\n");
-      out += "  active flows: " + std::to_string(net.active_flows().size()) +
-             ", parked: " + std::to_string(net.parked_flows().size()) + "\n";
-      return out;
-    });
-  }
-
-  // Single-worker jobs have an empty route, which Network::start_flow
-  // rejects; they were given zero comm bytes above, and TrainingJob skips
-  // flow creation entirely when comm_bytes is zero.
   for (auto& job : jobs) job->start();
-  if (injector) injector->arm();
-  sim.run_for(config.run_time);
-  net.flush_observers();
-  if (injector) result.faults_applied = injector->applied();
+  run.run_until(TimePoint::origin() + config.run_time);
 
   for (std::size_t j = 0, placed_idx = 0; j < requests.size(); ++j) {
     JobOutcome out;
@@ -245,14 +106,8 @@ ExperimentResult run_cluster_experiment(const Topology& topo,
     out.solo_ms =
         requests[j].profile.solo_iteration(nic_goodput).to_millis();
     if (out.placed) {
-      const TrainingJob& job = *jobs[placed_idx++];
-      const auto& iters = job.iteration_times();
-      // Drop warmup iterations (phase sliding converges within a few).
-      const std::size_t skip = std::min<std::size_t>(iters.size() / 5, 10);
-      Cdf cdf;
-      for (std::size_t i = skip; i < iters.size(); ++i) {
-        cdf.add(iters[i].to_millis());
-      }
+      const auto& iters = jobs[placed_idx++]->iteration_times();
+      const Cdf cdf = steady_state_ms(iters);
       out.iterations = iters.size();
       if (!cdf.empty()) {
         out.mean_ms = cdf.mean();

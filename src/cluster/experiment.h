@@ -1,20 +1,18 @@
-// End-to-end cluster experiments: place jobs, build their ring-allreduce
-// flows, run the fluid simulation under a chosen congestion-control policy,
-// and report per-job iteration statistics — the harness behind the §4/§5
-// benches and the cluster examples.
+// End-to-end cluster experiments: place a static job set, build their
+// ring-allreduce flows, run the fluid simulation under a chosen
+// congestion-control policy, and report per-job iteration statistics — the
+// harness behind the §4/§5 placement bench.  Runs are fault-free and
+// untraced; faults, traces and checkpoints on a cluster fabric are the
+// online orchestrator's (orch/orchestrator.h).
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "cc/factory.h"
 #include "cluster/placement.h"
-#include "core/schedule.h"
 #include "core/solver.h"
-#include "faults/fault_plan.h"
 #include "net/network.h"
-#include "sim/simulator.h"
 
 namespace ccml {
 
@@ -32,18 +30,6 @@ struct ExperimentConfig {
   /// compatibility) and each group is solved on one unified circle.
   bool flow_schedule = false;
   SolverOptions solver;
-  /// Scripted faults (src/faults).  JobIds in the plan are request indices.
-  /// Link failures reroute flows over the surviving fabric (ECMP) or park
-  /// them until restoration; with `flow_schedule` set, gates are re-solved
-  /// whenever the topology or job set changes.
-  FaultPlan faults;
-  /// Abort-wedged-run guards; zero fields get defaults scaled to `run_time`
-  /// whenever a fault plan is present.
-  WatchdogConfig watchdog;
-  /// Optional observability bus (src/obs); same contract as
-  /// ScenarioConfig::trace — when set, the run publishes the full TraceEvent
-  /// stream to the bus's sinks and registers request names for display.
-  TraceBus* trace = nullptr;
 };
 
 struct JobOutcome {
@@ -61,8 +47,6 @@ struct JobOutcome {
 struct ExperimentResult {
   std::vector<JobOutcome> outcomes;
   PlacementReport placement;
-  /// Fault events that executed during the run, with links resolved.
-  std::vector<FaultEvent> faults_applied;
   /// Mean slowdown across placed jobs (the scheduler-quality scalar).
   double mean_slowdown() const;
   /// Worst per-job slowdown.

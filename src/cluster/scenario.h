@@ -66,14 +66,13 @@ struct ScenarioConfig {
   TraceBus* trace = nullptr;
 
   /// Scripted faults to inject; empty = fault-free run.  The §2 bottleneck
-  /// cable is named "swL->swR" in the dumbbell topology.
+  /// cable is named "swL->swR" in the dumbbell topology.  When at least one
+  /// job is gated, a fault that changes the topology or job set drops or
+  /// re-solves the communication gates.
   FaultPlan faults;
   /// Abort-wedged-run guards.  Zero fields are filled with defaults scaled
   /// to `duration` whenever a fault plan is present.
   WatchdogConfig watchdog;
-  /// Re-solve communication gates when a fault changes the topology or job
-  /// set (only takes effect when at least one job is gated).
-  bool resolve_gates_on_fault = true;
   /// Solve a compatibility-based flow schedule at run start and gate every
   /// job with it (the CASSINI-style interleaved mode), instead of requiring
   /// callers to pre-compute per-job gates.  Emits a kSolve event when a
@@ -82,8 +81,6 @@ struct ScenarioConfig {
   bool flow_schedule = false;
   /// Solver options used for mid-run gate re-solves.
   SolverOptions solver;
-  /// Relative slack on iteration time for recovery convergence checks.
-  double fault_tolerance = 0.08;
 
   /// Optional checkpoint/restore coordinator (src/ckpt).  The scenario
   /// registers its state-capture providers (sim, net, cc, jobs, faults) and

@@ -42,11 +42,6 @@ struct AdmissionConfig {
   /// A deferred job still waiting after this long is rejected.
   Duration queue_timeout = Duration::seconds(30);
 
-  /// kCompatibilityAware admits a spanning placement when every shared-link
-  /// group is compatible, or its residual violation fraction is at most
-  /// this (0 = strict).
-  double max_violation = 0.0;
-
   /// Legacy single-bottleneck scoring: judge the newcomer's sharing
   /// component on ONE unified circle over every member, instead of per-link
   /// circles with consistent rotations.  The joint circle invents

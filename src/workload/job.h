@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/schedule.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -40,6 +41,14 @@ struct CommGate {
   Duration period;
   std::vector<Duration> phase_offsets;
   Duration window = Duration::zero();
+
+  /// The gate for slot `k` of a solved flow schedule, anchored at the
+  /// schedule's epoch.
+  static CommGate from_schedule(const FlowSchedule& fs, std::size_t k) {
+    const CommSlot& slot = fs.slots[k];
+    return {fs.epoch, slot.start_offset, slot.period, slot.phase_offsets,
+            slot.window};
+  }
 };
 
 struct JobSpec {
