@@ -22,6 +22,9 @@
 //       --job model=DLRM,batch=2000,timer_us=300,rai_mbps=40
 //   ccml_sim analyze trace.jsonl --health-report health.json
 //       --slo-min-fairness 0.8 --slo-max-anomalies 0
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -194,7 +197,8 @@ checkpointing (scenario, faults and cluster):
 exit codes:
   0  success
   1  an SLO gate failed, or a faulted scenario never reconverged
-  2  usage or generic runtime error
+  2  usage error (an option the command does not take, a number that
+     does not parse in full) or generic runtime error
   3  watchdog tripped: the simulation wedged (SimulatorWedged)
   4  snapshot refused: corrupt, truncated, CRC mismatch, version from the
      future, or recorded by a different command line (SnapshotError)
@@ -202,6 +206,162 @@ exit codes:
      (changed binary, changed spec, or nondeterminism) (ResumeDivergence)
 )");
   std::exit(2);
+}
+
+/// Parses all of `text` as a finite number; nullopt when anything is left
+/// over ("30x", "") or the value is inf/nan.
+std::optional<double> full_real(const std::string& text) {
+  const char* begin = text.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(begin, &end);
+  if (end == begin || *end != '\0' || errno != 0 || !std::isfinite(v)) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+/// Parses all of `text` as a base-10 integer; nullopt otherwise ("0.5").
+std::optional<long long> full_int(const std::string& text) {
+  const char* begin = text.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(begin, &end, 10);
+  if (end == begin || *end != '\0' || errno != 0) return std::nullopt;
+  return v;
+}
+
+// --- Option table ------------------------------------------------------------
+
+/// How an option's value must parse.  Numeric values must parse in full.
+enum class Value { kText, kInt, kSeed, kReal };
+
+using OptionTable = std::map<std::string, Value>;
+
+OptionTable merged(std::initializer_list<OptionTable> parts) {
+  OptionTable out;
+  for (const OptionTable& part : parts) out.insert(part.begin(), part.end());
+  return out;
+}
+
+/// Every option each command takes, repeated flags (--job, the fault flags,
+/// --vary, --with-*) included.  main rejects anything not listed here.
+const std::map<std::string, OptionTable>& command_options() {
+  static const std::map<std::string, OptionTable> table = [] {
+    const OptionTable transport = {{"policy", Value::kText},
+                                   {"cc-policy-table", Value::kText}};
+    const OptionTable trace = {{"trace", Value::kText},
+                               {"trace-format", Value::kText},
+                               {"trace-cadence-ms", Value::kReal},
+                               {"trace-async", Value::kText}};
+    const OptionTable health = {{"health-report", Value::kText},
+                                {"slo-min-fairness", Value::kReal},
+                                {"slo-max-slowdown", Value::kReal},
+                                {"slo-max-p99-ms", Value::kReal},
+                                {"slo-max-anomalies", Value::kInt},
+                                {"slo-require-anomaly", Value::kInt}};
+    const OptionTable checkpoint = {{"checkpoint-every", Value::kReal},
+                                    {"checkpoint-dir", Value::kText},
+                                    {"resume", Value::kText}};
+    const OptionTable link_faults = {{"flap", Value::kText},
+                                     {"brownout", Value::kText}};
+    const OptionTable scenario =
+        merged({transport, trace, health, checkpoint,
+                {{"job", Value::kText},
+                 {"seconds", Value::kInt},
+                 {"flow-schedule", Value::kInt}}});
+    return std::map<std::string, OptionTable>{
+        {"zoo", {}},
+        {"transports", {}},
+        {"profile",
+         {{"model", Value::kText},
+          {"batch", Value::kInt},
+          {"policy", Value::kText},
+          {"iterations", Value::kInt}}},
+        {"solve",
+         {{"job", Value::kText},
+          {"sectors", Value::kInt},
+          {"capacity-gbps", Value::kReal}}},
+        {"scenario", scenario},
+        {"faults", merged({scenario, link_faults,
+                           {{"seed", Value::kSeed},
+                            {"straggler", Value::kText},
+                            {"pause", Value::kText},
+                            {"depart", Value::kText},
+                            {"arrive", Value::kText}}})},
+        {"sweep",
+         {{"job", Value::kText},
+          {"param", Value::kText},
+          {"values", Value::kText},
+          {"policy", Value::kText},
+          {"seconds", Value::kInt},
+          {"threads", Value::kInt}}},
+        {"cluster", merged({transport, trace, health, checkpoint, link_faults,
+                            {{"seed", Value::kSeed},
+                             {"seconds", Value::kReal},
+                             {"rate", Value::kReal},
+                             {"service-s", Value::kReal},
+                             {"admission", Value::kText},
+                             {"queue-cap", Value::kInt},
+                             {"queue-timeout-s", Value::kReal},
+                             {"workers-min", Value::kInt},
+                             {"workers-max", Value::kInt},
+                             {"tors", Value::kInt},
+                             {"hosts", Value::kInt},
+                             {"spines", Value::kInt},
+                             {"flow-schedule", Value::kInt},
+                             {"fabric-gbps", Value::kReal},
+                             {"circle", Value::kText}}})},
+        {"analyze", health},
+        {"branch",
+         {{"from", Value::kText},
+          {"vary", Value::kText},
+          {"with-flap", Value::kText},
+          {"with-brownout", Value::kText},
+          {"threads", Value::kInt}}},
+    };
+  }();
+  return table;
+}
+
+/// Rejects (usage, exit 2) an unknown command, any flag the command does
+/// not take, and any numeric option value that does not parse in full.
+void check_options(const std::string& cmd,
+                   const std::vector<std::string>& flags,
+                   const std::map<std::string, std::string>& opts) {
+  const auto it = command_options().find(cmd);
+  if (it == command_options().end()) {
+    usage(("unknown command: " + cmd).c_str());
+  }
+  const OptionTable& table = it->second;
+  for (const std::string& flag : flags) {
+    if (!table.contains(flag)) {
+      usage(("unknown option --" + flag + " for " + cmd).c_str());
+    }
+  }
+  for (const auto& [key, value] : opts) {
+    const auto bad = [&](const char* what) {
+      usage(("--" + key + " expects " + what + ", got '" + value + "'")
+                .c_str());
+    };
+    switch (table.at(key)) {
+      case Value::kText:
+        break;
+      case Value::kInt: {
+        const auto v = full_int(value);
+        if (!v || *v < INT_MIN || *v > INT_MAX) bad("an integer");
+        break;
+      }
+      case Value::kSeed:
+        if (!full_int(value) || value[0] == '-') {
+          bad("a non-negative integer");
+        }
+        break;
+      case Value::kReal:
+        if (!full_real(value)) bad("a number");
+        break;
+    }
+  }
 }
 
 std::map<std::string, std::string> parse_kv(const std::string& arg) {
@@ -223,7 +383,12 @@ double want_num(const std::map<std::string, std::string>& kv,
     if (fallback) return *fallback;
     usage(("missing job key: " + key).c_str());
   }
-  return std::atof(it->second.c_str());
+  const auto v = full_real(it->second);
+  if (!v) {
+    usage(("key " + key + " expects a number, got '" + it->second + "'")
+              .c_str());
+  }
+  return *v;
 }
 
 std::string want_str(const std::map<std::string, std::string>& kv,
@@ -957,7 +1122,13 @@ int cmd_sweep(const std::vector<std::string>& job_args,
   {
     std::stringstream ss(opts.at("values"));
     std::string item;
-    while (std::getline(ss, item, ',')) values.push_back(std::atof(item.c_str()));
+    while (std::getline(ss, item, ',')) {
+      const auto v = full_real(item);
+      if (!v) {
+        usage(("--values expects numbers, got '" + item + "'").c_str());
+      }
+      values.push_back(*v);
+    }
   }
   if (values.empty()) usage("sweep needs at least one value");
 
@@ -1500,6 +1671,7 @@ int main(int argc, char** argv) {
   std::vector<std::pair<std::string, std::string>> with_fault_args;
   std::vector<std::string> positional;
   std::map<std::string, std::string> opts;
+  std::vector<std::string> flags;
   for (int i = 2; i < argc; ++i) {
     std::string a = argv[i];
     if (a.rfind("--", 0) != 0) {
@@ -1509,6 +1681,7 @@ int main(int argc, char** argv) {
       continue;
     }
     a = a.substr(2);
+    flags.push_back(a);
     if (i + 1 >= argc) usage(("missing value for --" + a).c_str());
     const std::string value = argv[++i];
     if (a == "job") {
@@ -1525,6 +1698,7 @@ int main(int argc, char** argv) {
       opts[a] = value;
     }
   }
+  check_options(cmd, flags, opts);
   try {
     if (cmd == "zoo") return cmd_zoo();
     if (cmd == "transports") return cmd_transports();
