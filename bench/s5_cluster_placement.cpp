@@ -3,10 +3,12 @@
 //   (a) locality-only placement (today's schedulers) under fair sharing,
 //   (b) locality-only placement + flow scheduling,
 //   (c) compatibility-aware placement under fair sharing,
+//   (d) compatibility-aware placement + flow scheduling,
 // reporting the per-job slowdown vs a dedicated network.  Cluster-level
 // compatibility (§5) is exercised because jobs share different links with
 // different neighbours; the flow scheduler solves each connected group on
-// one unified circle.
+// one unified circle.  Exits 1 unless (d)'s worst slowdown is at most 1.05
+// and strictly below both fair-sharing runs, (a) and (c).
 #include <cstdio>
 
 #include "cluster/experiment.h"
@@ -81,10 +83,15 @@ int main(int argc, char** argv) {
   cfg.policy = PolicyKind::kMaxMinFair;
   cfg.run_time = Duration::seconds(seconds);
 
+  double worst_a = 0.0;
+  double worst_c = 0.0;
+  double worst_d = 0.0;
   {
     LocalityPlacement placement;
-    report("(a) locality placement, fair sharing",
-           run_cluster_experiment(topo, workload(), placement, cfg));
+    const ExperimentResult r =
+        run_cluster_experiment(topo, workload(), placement, cfg);
+    report("(a) locality placement, fair sharing", r);
+    worst_a = r.max_slowdown();
   }
   {
     LocalityPlacement placement;
@@ -96,15 +103,19 @@ int main(int argc, char** argv) {
   }
   {
     CompatibilityAwarePlacement placement;
-    report("(c) compatibility-aware placement, fair sharing",
-           run_cluster_experiment(topo, workload(), placement, cfg));
+    const ExperimentResult r =
+        run_cluster_experiment(topo, workload(), placement, cfg);
+    report("(c) compatibility-aware placement, fair sharing", r);
+    worst_c = r.max_slowdown();
   }
   {
     CompatibilityAwarePlacement placement;
     ExperimentConfig sched = cfg;
     sched.flow_schedule = true;
-    report("(d) compatibility-aware placement + flow scheduling",
-           run_cluster_experiment(topo, workload(), placement, sched));
+    const ExperimentResult r =
+        run_cluster_experiment(topo, workload(), placement, sched);
+    report("(d) compatibility-aware placement + flow scheduling", r);
+    worst_d = r.max_slowdown();
   }
   std::printf(
       "expected shape: (a) incompatible sharing slows heavy+lightC; (b) the "
@@ -113,5 +124,11 @@ int main(int argc, char** argv) {
       "fair-sharing costs — and (d) placement plus scheduling reaches 1.0x "
       "for every job: compatibility-aware placement and an interleaving "
       "mechanism only pay off together (the paper's §4 thesis).\n");
+  if (worst_d > 1.05 || worst_d >= worst_a || worst_d >= worst_c) {
+    std::printf("\nFAIL: (d) max slowdown %.3f must be <= 1.05 and below "
+                "(a) %.3f and (c) %.3f\n",
+                worst_d, worst_a, worst_c);
+    return 1;
+  }
   return 0;
 }
