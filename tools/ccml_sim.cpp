@@ -1,27 +1,16 @@
-// ccml_sim — command-line driver for the library.
-//
-// Subcommands:
-//   zoo                      list the model zoo and calibrated profiles
-//   profile                  profile one job in isolation
-//   solve                    run the compatibility solver on job profiles
-//   scenario                 simulate jobs sharing a dumbbell bottleneck
-//   faults                   scenario + scripted faults and recovery report
-//   analyze                  replay a JSONL trace through the streaming
-//                            analyzers and emit a run-health report
-//   branch                   fork what-if continuations from a checkpoint
+// ccml_sim — command-line driver for the library: the paper's dumbbell
+// (scenario, faults, sweep), the compatibility solver and online cluster
+// (solve, cluster), trace analytics (analyze) and what-if branching from a
+// checkpoint (branch).  usage() lists every command and option, and
+// command_options() says what each option's value may be.
 //
 // Long runs can be checkpointed (--checkpoint-every) and, after a crash,
 // resumed (--resume) with byte-identical output; see docs/robustness.md.
 //
-// Examples:
-//   ccml_sim zoo
-//   ccml_sim profile --model DLRM --batch 2000
-//   ccml_sim solve --job period_ms=100,comm_ms=30 --job period_ms=100,comm_ms=30
+// Example:
 //   ccml_sim scenario --policy dcqcn --seconds 20
 //       --job model=DLRM,batch=2000,timer_us=55,rai_mbps=80
 //       --job model=DLRM,batch=2000,timer_us=300,rai_mbps=40
-//   ccml_sim analyze trace.jsonl --health-report health.json
-//       --slo-min-fairness 0.8 --slo-max-anomalies 0
 #include <cerrno>
 #include <climits>
 #include <cmath>
@@ -58,6 +47,11 @@ using namespace ccml;
 
 namespace {
 
+/// Option name (without "--") -> raw value, as given on the command line.
+using Options = std::map<std::string, std::string>;
+/// Fault flags (kind, K=V spec) in command-line order.
+using FaultArgs = std::vector<std::pair<std::string, std::string>>;
+
 [[noreturn]] void usage(const char* msg = nullptr) {
   if (msg) std::fprintf(stderr, "error: %s\n\n", msg);
   std::fprintf(stderr, R"(usage: ccml_sim <command> [options]
@@ -83,7 +77,7 @@ commands:
        run start and gates every job with it (emits a solve event so the
        measured interleaving can be compared with the prediction)
   sweep --job K=V[,K=V...] [--job ...] --param P --values V1,V2,...
-        [--policy P] [--seconds S] [--threads N]
+        [--policy P] [--seconds S] [--threads N (0 = all cores)]
                               run the scenario once per grid value, fanned
                               across threads; results print in grid order
        params: timer_us | rai_mbps | start_ms (applied to the first job)
@@ -124,7 +118,7 @@ commands:
                               report; exits 1 when an SLO check fails
   branch --from SNAPSHOT [--vary admission=locality|compat]
          [--vary transport=POLICY] [--with-flap K=V,...]
-         [--with-brownout K=V,...] [--threads N]
+         [--with-brownout K=V,...] [--threads N (0 = all cores)]
                               fork what-if continuations from a checkpoint:
                               each branch deterministically replays the
                               recorded history to the snapshot's cursor,
@@ -194,11 +188,18 @@ checkpointing (scenario, faults and cluster):
                             --trace-format jsonl; --trace-async drop is
                             incompatible with checkpointing
 
+numeric options must parse in full and lie in range:
+  >= 1  --sectors --tors --hosts --spines --workers-min --workers-max
+  >= 0  --threads (0 = all cores) --queue-cap --service-s
+        --queue-timeout-s --trace-cadence-ms
+  > 0   --capacity-gbps --fabric-gbps --rate --checkpoint-every
+
 exit codes:
   0  success
   1  an SLO gate failed, or a faulted scenario never reconverged
-  2  usage error (an option the command does not take, a number that
-     does not parse in full) or generic runtime error
+  2  usage error (an option the command does not take, a value that
+     does not parse in full or is out of range, an unknown choice) or
+     generic runtime error
   3  watchdog tripped: the simulation wedged (SimulatorWedged)
   4  snapshot refused: corrupt, truncated, CRC mismatch, version from the
      future, or recorded by a different command line (SnapshotError)
@@ -234,9 +235,19 @@ std::optional<long long> full_int(const std::string& text) {
 // --- Option table ------------------------------------------------------------
 
 /// How an option's value must parse.  Numeric values must parse in full.
-enum class Value { kText, kInt, kSeed, kReal };
+enum class Value { kText, kInt, kSeed, kReal, kChoice };
 
-using OptionTable = std::map<std::string, Value>;
+/// The lower bound a kInt or kReal value must meet.
+enum class Bound { kNone, kNonNegative, kPositive, kAtLeastOne };
+
+/// What one option is: its kind and its valid range or choices.
+struct OptionSpec {
+  Value kind = Value::kText;
+  Bound bound = Bound::kNone;
+  std::vector<std::string> choices = {};  ///< kChoice: the accepted values
+};
+
+using OptionTable = std::map<std::string, OptionSpec>;
 
 OptionTable merged(std::initializer_list<OptionTable> parts) {
   OptionTable out;
@@ -245,90 +256,119 @@ OptionTable merged(std::initializer_list<OptionTable> parts) {
 }
 
 /// Every option each command takes, repeated flags (--job, the fault flags,
-/// --vary, --with-*) included.  main rejects anything not listed here.
+/// --vary, --with-*) included, with its kind and valid range or choices.
+/// main rejects any option not listed here and any value outside its spec.
 const std::map<std::string, OptionTable>& command_options() {
   static const std::map<std::string, OptionTable> table = [] {
-    const OptionTable transport = {{"policy", Value::kText},
-                                   {"cc-policy-table", Value::kText}};
-    const OptionTable trace = {{"trace", Value::kText},
-                               {"trace-format", Value::kText},
-                               {"trace-cadence-ms", Value::kReal},
-                               {"trace-async", Value::kText}};
-    const OptionTable health = {{"health-report", Value::kText},
-                                {"slo-min-fairness", Value::kReal},
-                                {"slo-max-slowdown", Value::kReal},
-                                {"slo-max-p99-ms", Value::kReal},
-                                {"slo-max-anomalies", Value::kInt},
-                                {"slo-require-anomaly", Value::kInt}};
-    const OptionTable checkpoint = {{"checkpoint-every", Value::kReal},
-                                    {"checkpoint-dir", Value::kText},
-                                    {"resume", Value::kText}};
-    const OptionTable link_faults = {{"flap", Value::kText},
-                                     {"brownout", Value::kText}};
+    const OptionSpec text{Value::kText};
+    const OptionSpec integer{Value::kInt};
+    const OptionSpec count{Value::kInt, Bound::kAtLeastOne};
+    const OptionSpec non_negative_int{Value::kInt, Bound::kNonNegative};
+    const OptionSpec seed{Value::kSeed};
+    const OptionSpec real{Value::kReal};
+    const OptionSpec non_negative{Value::kReal, Bound::kNonNegative};
+    const OptionSpec positive{Value::kReal, Bound::kPositive};
+    const auto one_of = [](std::vector<std::string> choices) {
+      return OptionSpec{Value::kChoice, Bound::kNone, std::move(choices)};
+    };
+    const OptionTable transport = {{"policy", text},
+                                   {"cc-policy-table", text}};
+    const OptionTable trace = {{"trace", text},
+                               {"trace-format", one_of({"chrome", "jsonl"})},
+                               {"trace-cadence-ms", non_negative},
+                               {"trace-async", one_of({"block", "drop"})}};
+    const OptionTable health = {{"health-report", text},
+                                {"slo-min-fairness", real},
+                                {"slo-max-slowdown", real},
+                                {"slo-max-p99-ms", real},
+                                {"slo-max-anomalies", integer},
+                                {"slo-require-anomaly", integer}};
+    const OptionTable checkpoint = {{"checkpoint-every", positive},
+                                    {"checkpoint-dir", text},
+                                    {"resume", text}};
+    const OptionTable link_faults = {{"flap", text}, {"brownout", text}};
     const OptionTable scenario =
         merged({transport, trace, health, checkpoint,
-                {{"job", Value::kText},
-                 {"seconds", Value::kInt},
-                 {"flow-schedule", Value::kInt}}});
+                {{"job", text}, {"seconds", integer},
+                 {"flow-schedule", integer}}});
     return std::map<std::string, OptionTable>{
         {"zoo", {}},
         {"transports", {}},
         {"profile",
-         {{"model", Value::kText},
-          {"batch", Value::kInt},
-          {"policy", Value::kText},
-          {"iterations", Value::kInt}}},
+         {{"model", text}, {"batch", integer}, {"policy", text},
+          {"iterations", integer}}},
         {"solve",
-         {{"job", Value::kText},
-          {"sectors", Value::kInt},
-          {"capacity-gbps", Value::kReal}}},
+         {{"job", text}, {"sectors", count}, {"capacity-gbps", positive}}},
         {"scenario", scenario},
         {"faults", merged({scenario, link_faults,
-                           {{"seed", Value::kSeed},
-                            {"straggler", Value::kText},
-                            {"pause", Value::kText},
-                            {"depart", Value::kText},
-                            {"arrive", Value::kText}}})},
+                           {{"seed", seed}, {"straggler", text},
+                            {"pause", text}, {"depart", text},
+                            {"arrive", text}}})},
         {"sweep",
-         {{"job", Value::kText},
-          {"param", Value::kText},
-          {"values", Value::kText},
-          {"policy", Value::kText},
-          {"seconds", Value::kInt},
-          {"threads", Value::kInt}}},
-        {"cluster", merged({transport, trace, health, checkpoint, link_faults,
-                            {{"seed", Value::kSeed},
-                             {"seconds", Value::kReal},
-                             {"rate", Value::kReal},
-                             {"service-s", Value::kReal},
-                             {"admission", Value::kText},
-                             {"queue-cap", Value::kInt},
-                             {"queue-timeout-s", Value::kReal},
-                             {"workers-min", Value::kInt},
-                             {"workers-max", Value::kInt},
-                             {"tors", Value::kInt},
-                             {"hosts", Value::kInt},
-                             {"spines", Value::kInt},
-                             {"flow-schedule", Value::kInt},
-                             {"fabric-gbps", Value::kReal},
-                             {"circle", Value::kText}}})},
+         {{"job", text},
+          {"param", one_of({"timer_us", "rai_mbps", "start_ms",
+                            "bottleneck_gbps"})},
+          {"values", text}, {"policy", text}, {"seconds", integer},
+          {"threads", non_negative_int}}},
+        {"cluster",
+         merged({transport, trace, health, checkpoint, link_faults,
+                 {{"seed", seed}, {"seconds", real}, {"rate", positive},
+                  {"service-s", non_negative},
+                  {"admission", one_of({"locality", "compat"})},
+                  {"queue-cap", non_negative_int},
+                  {"queue-timeout-s", non_negative},
+                  {"workers-min", count}, {"workers-max", count},
+                  {"tors", count}, {"hosts", count}, {"spines", count},
+                  {"flow-schedule", integer}, {"fabric-gbps", positive},
+                  {"circle", one_of({"single", "graph"})}}})},
         {"analyze", health},
         {"branch",
-         {{"from", Value::kText},
-          {"vary", Value::kText},
-          {"with-flap", Value::kText},
-          {"with-brownout", Value::kText},
-          {"threads", Value::kInt}}},
+         {{"from", text}, {"vary", text}, {"with-flap", text},
+          {"with-brownout", text}, {"threads", non_negative_int}}},
     };
   }();
   return table;
 }
 
+/// Rejects (usage, exit 2) a value that does not meet `spec`; `name` is how
+/// the error line names the option ("--tors", "--vary admission").
+void check_value(const std::string& name, const OptionSpec& spec,
+                 const std::string& value) {
+  const auto bad = [&](const std::string& what) {
+    usage((name + " expects " + what + ", got '" + value + "'").c_str());
+  };
+  if (spec.kind == Value::kChoice) {
+    std::string all;
+    for (const std::string& c : spec.choices) {
+      if (c == value) return;
+      all += (all.empty() ? "" : "|") + c;
+    }
+    bad("one of " + all);
+  }
+  if (spec.kind == Value::kSeed && (!full_int(value) || value[0] == '-')) {
+    bad("a non-negative integer");
+  }
+  if (spec.kind != Value::kInt && spec.kind != Value::kReal) return;
+  const bool integral = spec.kind == Value::kInt;
+  const auto i = full_int(value);
+  std::optional<double> v = full_real(value);
+  if (integral && !(i && *i >= INT_MIN && *i <= INT_MAX)) v.reset();
+  const bool in_range = v && (spec.bound == Bound::kNone ||
+                              (spec.bound == Bound::kNonNegative && *v >= 0) ||
+                              (spec.bound == Bound::kPositive && *v > 0) ||
+                              (spec.bound == Bound::kAtLeastOne && *v >= 1));
+  static const char* const kBoundText[] = {"", " >= 0", " > 0", " >= 1"};
+  if (!in_range) {
+    bad(std::string(integral ? "an integer" : "a number") +
+        kBoundText[static_cast<int>(spec.bound)]);
+  }
+}
+
 /// Rejects (usage, exit 2) an unknown command, any flag the command does
-/// not take, and any numeric option value that does not parse in full.
+/// not take, and any option value that does not meet its spec.
 void check_options(const std::string& cmd,
                    const std::vector<std::string>& flags,
-                   const std::map<std::string, std::string>& opts) {
+                   const Options& opts) {
   const auto it = command_options().find(cmd);
   if (it == command_options().end()) {
     usage(("unknown command: " + cmd).c_str());
@@ -340,28 +380,36 @@ void check_options(const std::string& cmd,
     }
   }
   for (const auto& [key, value] : opts) {
-    const auto bad = [&](const char* what) {
-      usage(("--" + key + " expects " + what + ", got '" + value + "'")
-                .c_str());
-    };
-    switch (table.at(key)) {
-      case Value::kText:
-        break;
-      case Value::kInt: {
-        const auto v = full_int(value);
-        if (!v || *v < INT_MIN || *v > INT_MAX) bad("an integer");
-        break;
-      }
-      case Value::kSeed:
-        if (!full_int(value) || value[0] == '-') {
-          bad("a non-negative integer");
-        }
-        break;
-      case Value::kReal:
-        if (!full_real(value)) bad("a number");
-        break;
-    }
+    check_value("--" + key, table.at(key), value);
   }
+}
+
+// --- Typed option reads ------------------------------------------------------
+//
+// Option values stay raw text (canonical_run_spec records them verbatim);
+// these read them back typed.  Command-line values passed check_options,
+// and a snapshot's spec was recorded by a run whose values did.
+
+std::string opt_text(const Options& opts, const std::string& key,
+                     const std::string& fallback) {
+  return opts.contains(key) ? opts.at(key) : fallback;
+}
+
+int opt_int(const Options& opts, const std::string& key, int fallback) {
+  return opts.contains(key) ? static_cast<int>(full_int(opts.at(key)).value())
+                            : fallback;
+}
+
+std::uint64_t opt_seed(const Options& opts, const std::string& key,
+                       std::uint64_t fallback) {
+  return opts.contains(key)
+             ? static_cast<std::uint64_t>(full_int(opts.at(key)).value())
+             : fallback;
+}
+
+double opt_real(const Options& opts, const std::string& key,
+                double fallback) {
+  return opts.contains(key) ? full_real(opts.at(key)).value() : fallback;
 }
 
 std::map<std::string, std::string> parse_kv(const std::string& arg) {
@@ -391,14 +439,8 @@ double want_num(const std::map<std::string, std::string>& kv,
   return *v;
 }
 
-std::string want_str(const std::map<std::string, std::string>& kv,
-                     const std::string& key, std::string fallback = "") {
-  const auto it = kv.find(key);
-  return it == kv.end() ? fallback : it->second;
-}
-
 JobProfile job_profile_from(const std::map<std::string, std::string>& kv) {
-  const std::string model = want_str(kv, "model");
+  const std::string model = opt_text(kv, "model", "");
   if (!model.empty()) {
     const int batch = static_cast<int>(want_num(kv, "batch", 0.0));
     if (const auto cal = ModelZoo::calibrated(model, batch)) return *cal;
@@ -408,13 +450,11 @@ JobProfile job_profile_from(const std::map<std::string, std::string>& kv) {
   const double compute_ms = want_num(kv, "compute_ms");
   const double comm_ms = want_num(kv, "comm_ms", 0.0);
   return ModelZoo::synthetic(
-      want_str(kv, "name", "job"), Duration::from_millis_f(compute_ms),
+      opt_text(kv, "name", "job"), Duration::from_millis_f(compute_ms),
       Rate::gbps(42.5) * Duration::from_millis_f(comm_ms));
 }
 
 // --- Checkpoint plumbing -----------------------------------------------------
-
-bool wants_analytics(const std::map<std::string, std::string>& opts);
 
 /// Counts every logical byte the trace sink produces and forwards them to
 /// the real file buffer — except the first `suppress` bytes, which a resume
@@ -458,6 +498,15 @@ class CountingBuf : public std::streambuf {
   std::uint64_t count_ = 0;
 };
 
+/// True when the command line asks for run-health analytics.
+bool wants_analytics(const Options& opts) {
+  if (opts.contains("health-report")) return true;
+  for (const auto& [key, value] : opts) {
+    if (key.rfind("slo-", 0) == 0) return true;
+  }
+  return false;
+}
+
 /// Canonical textual spec of a run, stored as the "spec" section of every
 /// snapshot: the command, every --job and fault flag in command-line order,
 /// and every option that shapes the simulated trajectory.  Output paths
@@ -465,10 +514,10 @@ class CountingBuf : public std::streambuf {
 /// markers so a resumed run may write elsewhere, and --slo-* values only
 /// gate the exit code; everything else — including --checkpoint-every,
 /// whose ticks consume event budget — must match the recording run exactly.
-std::string canonical_run_spec(
-    const std::string& cmd, const std::vector<std::string>& job_args,
-    const std::vector<std::pair<std::string, std::string>>& fault_args,
-    const std::map<std::string, std::string>& opts) {
+std::string canonical_run_spec(const std::string& cmd,
+                               const std::vector<std::string>& job_args,
+                               const FaultArgs& fault_args,
+                               const Options& opts) {
   std::string s = "ccml-run-spec v1\ncmd=" + cmd + "\n";
   for (const auto& j : job_args) s += "job=" + j + "\n";
   for (const auto& [kind, arg] : fault_args) {
@@ -494,8 +543,8 @@ std::string canonical_run_spec(
 struct RunSpec {
   std::string cmd;
   std::vector<std::string> job_args;
-  std::vector<std::pair<std::string, std::string>> fault_args;
-  std::map<std::string, std::string> opts;
+  FaultArgs fault_args;
+  Options opts;
   bool traced = false;  ///< the recording run had a --trace file sink
   bool health = false;  ///< ... and/or a run-health analytics engine
 };
@@ -591,15 +640,10 @@ int cmd_transports() {
   return 0;
 }
 
-int cmd_profile(const std::map<std::string, std::string>& opts) {
-  std::map<std::string, std::string> kv;
-  if (opts.contains("model")) kv["model"] = opts.at("model");
-  if (opts.contains("batch")) kv["batch"] = opts.at("batch");
-  const JobProfile job = job_profile_from(kv);
+int cmd_profile(const Options& opts) {
+  const JobProfile job = job_profile_from(opts);  // --model, --batch
   ProfilerOptions popts;
-  if (opts.contains("iterations")) {
-    popts.iterations = std::atoi(opts.at("iterations").c_str());
-  }
+  popts.iterations = opt_int(opts, "iterations", popts.iterations);
   if (opts.contains("policy")) {
     popts.policy = parse_policy_kind(opts.at("policy"));
   }
@@ -620,7 +664,7 @@ int cmd_profile(const std::map<std::string, std::string>& opts) {
 }
 
 int cmd_solve(const std::vector<std::string>& job_args,
-              const std::map<std::string, std::string>& opts) {
+              const Options& opts) {
   if (job_args.size() < 2) usage("solve needs at least two --job");
   std::vector<CommProfile> profiles;
   for (const auto& arg : job_args) {
@@ -629,7 +673,7 @@ int cmd_solve(const std::vector<std::string>& job_args,
       const double period = want_num(kv, "period_ms");
       const double comm = want_num(kv, "comm_ms");
       profiles.push_back(CommProfile::single_phase(
-          want_str(kv, "name", "job" + std::to_string(profiles.size())),
+          opt_text(kv, "name", "job" + std::to_string(profiles.size())),
           Duration::from_millis_f(period),
           Duration::from_millis_f(period - comm),
           Rate::gbps(want_num(kv, "demand_gbps", 42.5))));
@@ -639,13 +683,10 @@ int cmd_solve(const std::vector<std::string>& job_args,
     }
   }
   SolverOptions sopts;
-  if (opts.contains("sectors")) {
-    sopts.sectors = std::atoi(opts.at("sectors").c_str());
-  }
+  sopts.sectors = opt_int(opts, "sectors", sopts.sectors);
   if (opts.contains("capacity-gbps")) {
     sopts.mode = SolverOptions::Mode::kBandwidth;
-    sopts.link_capacity =
-        Rate::gbps(std::atof(opts.at("capacity-gbps").c_str()));
+    sopts.link_capacity = Rate::gbps(opt_real(opts, "capacity-gbps", 0));
   }
   const SolverResult r = CompatibilitySolver(sopts).solve(profiles);
   std::printf("verdict: %s%s\n", r.compatible ? "COMPATIBLE" : "incompatible",
@@ -662,43 +703,25 @@ int cmd_solve(const std::vector<std::string>& job_args,
 }
 
 /// Parses the --slo-* family into the engine's SLO gate config.
-SloConfig parse_slo(const std::map<std::string, std::string>& opts) {
+SloConfig parse_slo(const Options& opts) {
   SloConfig slo;
-  if (opts.contains("slo-min-fairness")) {
-    slo.min_fairness = std::atof(opts.at("slo-min-fairness").c_str());
-  }
-  if (opts.contains("slo-max-slowdown")) {
-    slo.max_mean_slowdown = std::atof(opts.at("slo-max-slowdown").c_str());
-  }
-  if (opts.contains("slo-max-p99-ms")) {
-    slo.max_p99_iteration_ms = std::atof(opts.at("slo-max-p99-ms").c_str());
-  }
-  if (opts.contains("slo-max-anomalies")) {
-    slo.max_anomalies = std::atoi(opts.at("slo-max-anomalies").c_str());
-  }
-  if (opts.contains("slo-require-anomaly")) {
-    slo.require_anomaly = std::atoi(opts.at("slo-require-anomaly").c_str()) != 0;
-  }
+  slo.min_fairness = opt_real(opts, "slo-min-fairness", slo.min_fairness);
+  slo.max_mean_slowdown =
+      opt_real(opts, "slo-max-slowdown", slo.max_mean_slowdown);
+  slo.max_p99_iteration_ms =
+      opt_real(opts, "slo-max-p99-ms", slo.max_p99_iteration_ms);
+  slo.max_anomalies = opt_int(opts, "slo-max-anomalies", slo.max_anomalies);
+  slo.require_anomaly =
+      opt_int(opts, "slo-require-anomaly", slo.require_anomaly ? 1 : 0) != 0;
   return slo;
-}
-
-/// True when the command line asks for run-health analytics.
-bool wants_analytics(const std::map<std::string, std::string>& opts) {
-  if (opts.contains("health-report")) return true;
-  for (const auto& [key, value] : opts) {
-    if (key.rfind("slo-", 0) == 0) return true;
-  }
-  return false;
 }
 
 /// Renders the run-health report to --health-report's destination ("-" or
 /// unset = stdout) and prints the lower-bound warning when the async ring
 /// dropped events.  Returns 1 when an SLO check failed, else 0.
-int emit_health_report(const AnalyticsEngine& engine,
-                       const std::map<std::string, std::string>& opts) {
+int emit_health_report(const AnalyticsEngine& engine, const Options& opts) {
   const RunHealthReport report = engine.report(parse_slo(opts));
-  const std::string dest =
-      opts.contains("health-report") ? opts.at("health-report") : "-";
+  const std::string dest = opt_text(opts, "health-report", "-");
   if (dest == "-") {
     std::printf("%s", report.json.c_str());
   } else {
@@ -717,180 +740,151 @@ int emit_health_report(const AnalyticsEngine& engine,
   return report.pass ? 0 : 1;
 }
 
-/// Builds the trace bus, the optional file sink requested by --trace /
-/// --trace-format / --trace-cadence-ms, and the optional AnalyticsEngine
-/// requested by --health-report / --slo-*.  When both are present the
-/// engine is the bus's only sink and *chains* to the file sink, so derived
-/// anomaly.* events interleave deterministically with the raw stream.
-/// `configure` returns the bus to hang on the scenario config (nullptr when
-/// neither is requested); `finish` finalizes the file and prints the
-/// run-metrics summary; `health_exit_code` evaluates the SLO gates.
-struct TraceSetup {
-  /// Resume only: logical trace bytes at the snapshot's cursor.  Set before
-  /// configure(); the existing file is cut to exactly this many bytes and
-  /// re-opened for append, and the first resume_suppress bytes the replay
-  /// regenerates are discarded instead of re-written — the stitched file is
-  /// byte-identical to the one an uninterrupted run would have produced.
-  std::uint64_t resume_suppress = 0;
+/// --trace-cadence-ms: the link-series and analytics sampling period.
+Duration trace_cadence(const Options& opts) {
+  return Duration::from_millis_f(opt_real(opts, "trace-cadence-ms", 5.0));
+}
 
-  TraceBus* configure(const std::map<std::string, std::string>& opts) {
-    const bool want_file = opts.contains("trace");
-    const bool want_health = wants_analytics(opts);
-    if (!want_file && !want_health) return nullptr;
-    const Duration cadence = Duration::from_millis_f(
-        opts.contains("trace-cadence-ms")
-            ? std::atof(opts.at("trace-cadence-ms").c_str())
-            : 5.0);
-    if (want_file) {
-      path = opts.at("trace");
-      std::uint64_t suppress = 0;
-      std::error_code ec;
-      if (resume_suppress > 0 && std::filesystem::exists(path, ec)) {
-        const std::uint64_t size = std::filesystem::file_size(path);
-        if (size < resume_suppress) {
-          throw SnapshotError(
-              "trace file '" + path + "' has " + std::to_string(size) +
-              " bytes but the snapshot's cursor is at byte " +
-              std::to_string(resume_suppress) +
-              " — this is not the file the snapshotted run was writing");
-        }
-        // Drop bytes the killed run wrote past the checkpoint; the replay
-        // regenerates them (and everything after) deterministically.
-        if (size > resume_suppress) {
-          std::filesystem::resize_file(path, resume_suppress);
-        }
-        out.open(path, std::ios::binary | std::ios::app);
-        suppress = resume_suppress;
-      } else {
-        out.open(path, std::ios::binary | std::ios::trunc);
-      }
-      if (!out) usage(("cannot open trace file: " + path).c_str());
-      counting = std::make_unique<CountingBuf>(out.rdbuf(), suppress);
-      stream = std::make_unique<std::ostream>(counting.get());
-      const std::string format =
-          opts.contains("trace-format") ? opts.at("trace-format") : "chrome";
-      if (format == "chrome") {
-        ChromeTraceSinkOptions copts;
-        copts.sample_cadence = cadence;
-        sink = std::make_unique<ChromeTraceSink>(*stream, copts);
-      } else if (format == "jsonl") {
-        JsonlSinkOptions jopts;
-        jopts.sample_cadence = cadence;
-        sink = std::make_unique<JsonlSink>(*stream, jopts);
-      } else {
-        usage(("unknown trace format: " + format +
-               " (expected chrome or jsonl)")
-                  .c_str());
-      }
-    }
-    if (want_health) {
-      AnalyticsConfig acfg;
-      acfg.sample_cadence = cadence;
-      engine = std::make_unique<AnalyticsEngine>(acfg);
-      engine->set_output(sink.get());
-      bus.add_sink(*engine);
+/// A run's trace bus and the sinks it feeds: an optional JSONL or Chrome
+/// sink writing through a byte-counting stream, and an optional
+/// AnalyticsEngine.  When both are present the engine is the bus's only
+/// sink and *chains* to the file sink, so derived anomaly.* events
+/// interleave deterministically with the raw stream.
+struct TraceChain {
+  /// Opens a `format` ("chrome" or "jsonl") sink writing to `dst`, minus
+  /// its first `suppress` bytes (see CountingBuf).
+  void open_sink(std::streambuf* dst, std::uint64_t suppress,
+                 const std::string& format, Duration sample_cadence) {
+    counting = std::make_unique<CountingBuf>(dst, suppress);
+    stream = std::make_unique<std::ostream>(counting.get());
+    if (format == "chrome") {
+      ChromeTraceSinkOptions copts;
+      copts.sample_cadence = sample_cadence;
+      sink = std::make_unique<ChromeTraceSink>(*stream, copts);
     } else {
+      JsonlSinkOptions jopts;
+      jopts.sample_cadence = sample_cadence;
+      sink = std::make_unique<JsonlSink>(*stream, jopts);
+    }
+  }
+
+  /// Subscribes the bus to the sink, through an analytics engine when
+  /// `health` asks for one.
+  void connect(bool health, Duration cadence) {
+    if (!health) {
       bus.add_sink(*sink);
+      return;
     }
-    if (opts.contains("trace-async")) {
-      TraceAsyncOptions aopts;
-      const std::string& mode = opts.at("trace-async");
-      if (mode == "drop") {
-        aopts.overflow = TraceOverflowPolicy::kDropNewest;
-      } else if (!mode.empty() && mode != "block") {
-        usage(("unknown --trace-async mode: " + mode +
-               " (expected block or drop)")
-                  .c_str());
-      }
-      bus.start_async(aopts);
-    }
-    enabled = true;
-    return &bus;
+    AnalyticsConfig acfg;
+    acfg.sample_cadence = cadence;
+    engine = std::make_unique<AnalyticsEngine>(acfg);
+    engine->set_output(sink.get());
+    bus.add_sink(*engine);
   }
 
-  void finish() {
-    if (!enabled) return;
-    bus.flush();  // stops the async consumer (full drain) before finalizing
-    if (!path.empty()) {
+  /// Has every snapshot `ck` takes record the sink's logical bytes since
+  /// t=0 (suppressed + written), flushed through to the OS first so a
+  /// SIGKILL after the snapshot lands can never lose bytes its cursor
+  /// claims exist.
+  void count_bytes_for(CheckpointCoordinator& ck) {
+    ck.set_trace_bytes_fn([this] {
       stream->flush();
-      out.close();
-      std::printf("\ntrace written to %s\n", path.c_str());
-    }
-    std::printf("\n%s", bus.metrics_summary().c_str());
+      return counting->logical_bytes();
+    });
   }
 
-  /// Call after finish(); 1 when an enabled SLO gate failed, else 0.
-  int health_exit_code(const std::map<std::string, std::string>& opts) const {
-    return engine ? emit_health_report(*engine, opts) : 0;
-  }
-
-  bool has_file() const { return counting != nullptr; }
-
-  /// Logical bytes the file sink has produced since t=0 of the run
-  /// (suppressed + written), flushed through to the OS first so a SIGKILL
-  /// after the snapshot lands can never lose bytes its cursor claims exist.
-  std::uint64_t logical_trace_bytes() {
-    if (stream) stream->flush();
-    return counting ? counting->logical_bytes() : 0;
-  }
-
-  bool enabled = false;
-  std::string path;
-  std::ofstream out;
   std::unique_ptr<CountingBuf> counting;
   std::unique_ptr<std::ostream> stream;
-  TraceBus bus;
   std::unique_ptr<TraceSink> sink;
   std::unique_ptr<AnalyticsEngine> engine;
+  TraceBus bus;  // last: destroyed first, stopping any async consumer
 };
 
-/// Parses --checkpoint-every / --checkpoint-dir / --resume into a
-/// CheckpointCoordinator.  On resume it loads and validates the snapshot,
-/// refuses a spec recorded by a different command line, and primes the
-/// TraceSetup with the cursor's trace-byte position for file stitching.
-struct CheckpointSetup {
-  std::unique_ptr<CheckpointCoordinator> ck;
-  bool resuming = false;
+/// What a live run writes besides its report: the trace file and run-health
+/// report (--trace*, --health-report, --slo-*) and the checkpoints
+/// (--checkpoint-every, --checkpoint-dir, --resume), linked so every
+/// snapshot records the trace file's byte position.  On resume the snapshot
+/// is loaded and validated, a spec recorded by a different command line is
+/// refused, and the trace file is cut at the cursor and appended to.
+class RunOutputs {
+ public:
+  RunOutputs(const std::string& spec, const Options& opts) : opts_(opts) {
+    open_trace(open_checkpoints(spec));
+    if (ck_ != nullptr && chain_.counting != nullptr) {
+      chain_.count_bytes_for(*ck_);
+    }
+  }
 
-  CheckpointCoordinator* configure(const std::string& spec,
-                                   const std::map<std::string, std::string>& opts,
-                                   TraceSetup& trace) {
-    const bool resume = opts.contains("resume");
-    if (!opts.contains("checkpoint-every")) {
+  /// Hangs the coordinator and bus on a ScenarioConfig/OrchestratorConfig.
+  template <typename Config>
+  void attach(Config& cfg) {
+    cfg.checkpoint = ck_.get();
+    cfg.trace = enabled_ ? &chain_.bus : nullptr;
+  }
+
+  /// Call after the run: a resume whose replay ended before ever reaching
+  /// the cursor verified nothing and must not pass silently.
+  void check_verified() const {
+    if (!resuming_) return;
+    if (!ck_->verified()) {
+      throw ResumeDivergence(
+          "replay finished without reaching the snapshot's cursor (checkpoint " +
+          std::to_string(ck_->options().target_seq) +
+          ") — was the recorded run longer than this one?");
+    }
+    std::fprintf(stderr, "resume verified byte-identical at the cursor; "
+                         "continued to completion\n");
+  }
+
+  /// Call after the report: finalizes the trace file, prints the run
+  /// metrics and emits the run-health report.  1 when an SLO gate failed.
+  int finish() {
+    if (!enabled_) return 0;
+    chain_.bus.flush();  // stops the async consumer (full drain) first
+    if (!path_.empty()) {
+      chain_.stream->flush();
+      out_.close();
+      std::printf("\ntrace written to %s\n", path_.c_str());
+    }
+    std::printf("\n%s", chain_.bus.metrics_summary().c_str());
+    return chain_.engine ? emit_health_report(*chain_.engine, opts_) : 0;
+  }
+
+ private:
+  /// Sets up the coordinator; returns, on resume, the logical trace bytes
+  /// at the snapshot's cursor (else 0).
+  std::uint64_t open_checkpoints(const std::string& spec) {
+    const bool resume = opts_.contains("resume");
+    if (!opts_.contains("checkpoint-every")) {
       if (resume) {
         usage("--resume needs the recording run's --checkpoint-every (re-issue "
               "the identical command line plus --resume)");
       }
-      return nullptr;
+      return 0;
     }
     // Checkpointing counts and stitches trace bytes, which needs the
     // line-oriented lossless path: the chrome sink buffers everything until
     // the end of the run, and drop-mode async discards events the byte
     // counter never sees.
-    if (opts.contains("trace")) {
-      const std::string format =
-          opts.contains("trace-format") ? opts.at("trace-format") : "chrome";
-      if (format != "jsonl") {
-        usage("checkpointing a traced run requires --trace-format jsonl");
-      }
+    if (opts_.contains("trace") &&
+        opt_text(opts_, "trace-format", "") != "jsonl") {
+      usage("checkpointing a traced run requires --trace-format jsonl");
     }
-    if (opts.contains("trace-async") && opts.at("trace-async") == "drop") {
+    if (opt_text(opts_, "trace-async", "") == "drop") {
       usage("--trace-async drop discards events nondeterministically and "
             "cannot be checkpointed; use block");
     }
-    const double every_ms = std::atof(opts.at("checkpoint-every").c_str());
-    if (every_ms <= 0) usage("--checkpoint-every must be a positive ms value");
-
     CheckpointCoordinator::Options co;
-    co.every = Duration::from_millis_f(every_ms);
-    co.dir = opts.contains("checkpoint-dir") ? opts.at("checkpoint-dir")
-                                             : "checkpoints";
+    co.every = Duration::from_millis_f(opt_real(opts_, "checkpoint-every", 0));
+    co.dir = opt_text(opts_, "checkpoint-dir", "checkpoints");
     co.run_spec = spec;
+    std::uint64_t resume_bytes = 0;
     if (resume) {
-      Snapshot target = Snapshot::load(opts.at("resume"));
+      const std::string& file = opts_.at("resume");
+      Snapshot target = Snapshot::load(file);
       if (target.get("spec") != spec) {
         throw SnapshotError(
-            "snapshot '" + opts.at("resume") +
+            "snapshot '" + file +
             "' was recorded by a different run: re-issue the identical "
             "command line plus --resume (output paths may differ; jobs, "
             "faults, seeds, durations and --checkpoint-every may not)");
@@ -899,35 +893,75 @@ struct CheckpointSetup {
       co.mode = CheckpointCoordinator::Mode::kReplayVerify;
       co.target_seq = cursor.seq;
       co.target = std::move(target);
-      trace.resume_suppress = cursor.trace_bytes;
-      resuming = true;
+      resume_bytes = cursor.trace_bytes;
+      resuming_ = true;
       std::fprintf(stderr,
                    "resuming from %s: checkpoint %llu at %.1f ms (%llu events, "
                    "%llu trace bytes); replaying to the cursor...\n",
-                   opts.at("resume").c_str(),
-                   static_cast<unsigned long long>(cursor.seq),
+                   file.c_str(), static_cast<unsigned long long>(cursor.seq),
                    static_cast<double>(cursor.time_ns) / 1e6,
                    static_cast<unsigned long long>(cursor.events_executed),
                    static_cast<unsigned long long>(cursor.trace_bytes));
     }
-    ck = std::make_unique<CheckpointCoordinator>(std::move(co));
-    return ck.get();
+    ck_ = std::make_unique<CheckpointCoordinator>(std::move(co));
+    return resume_bytes;
   }
 
-  /// Call after the run: a resume whose replay ended before ever reaching
-  /// the cursor verified nothing and must not pass silently.
-  void check_verified() const {
-    if (resuming && ck && !ck->verified()) {
-      throw ResumeDivergence(
-          "replay finished without reaching the snapshot's cursor (checkpoint " +
-          std::to_string(ck->options().target_seq) +
-          ") — was the recorded run longer than this one?");
+  /// Builds the bus and its sinks.  On resume the existing trace file is
+  /// cut to exactly `resume_bytes` and re-opened for append, and the first
+  /// resume_bytes the replay regenerates are discarded instead of
+  /// re-written — the stitched file is byte-identical to the one an
+  /// uninterrupted run would have produced.
+  void open_trace(std::uint64_t resume_bytes) {
+    const bool want_file = opts_.contains("trace");
+    const bool want_health = wants_analytics(opts_);
+    if (!want_file && !want_health) return;
+    const Duration cadence = trace_cadence(opts_);
+    if (want_file) {
+      path_ = opts_.at("trace");
+      std::uint64_t suppress = 0;
+      std::error_code ec;
+      if (resume_bytes > 0 && std::filesystem::exists(path_, ec)) {
+        const std::uint64_t size = std::filesystem::file_size(path_);
+        if (size < resume_bytes) {
+          throw SnapshotError(
+              "trace file '" + path_ + "' has " + std::to_string(size) +
+              " bytes but the snapshot's cursor is at byte " +
+              std::to_string(resume_bytes) +
+              " — this is not the file the snapshotted run was writing");
+        }
+        // Drop bytes the killed run wrote past the checkpoint; the replay
+        // regenerates them (and everything after) deterministically.
+        if (size > resume_bytes) {
+          std::filesystem::resize_file(path_, resume_bytes);
+        }
+        out_.open(path_, std::ios::binary | std::ios::app);
+        suppress = resume_bytes;
+      } else {
+        out_.open(path_, std::ios::binary | std::ios::trunc);
+      }
+      if (!out_) usage(("cannot open trace file: " + path_).c_str());
+      chain_.open_sink(out_.rdbuf(), suppress,
+                       opt_text(opts_, "trace-format", "chrome"), cadence);
     }
-    if (resuming && ck) {
-      std::fprintf(stderr, "resume verified byte-identical at the cursor; "
-                           "continued to completion\n");
+    chain_.connect(want_health, cadence);
+    if (opts_.contains("trace-async")) {
+      TraceAsyncOptions aopts;
+      if (opts_.at("trace-async") == "drop") {
+        aopts.overflow = TraceOverflowPolicy::kDropNewest;
+      }
+      chain_.bus.start_async(aopts);
     }
+    enabled_ = true;
   }
+
+  const Options& opts_;
+  bool enabled_ = false;
+  bool resuming_ = false;
+  std::string path_;
+  std::ofstream out_;
+  TraceChain chain_;
+  std::unique_ptr<CheckpointCoordinator> ck_;
 };
 
 std::vector<ScenarioJob> parse_scenario_jobs(
@@ -937,7 +971,7 @@ std::vector<ScenarioJob> parse_scenario_jobs(
     const auto kv = parse_kv(arg);
     ScenarioJob job;
     job.profile = job_profile_from(kv);
-    job.name = want_str(kv, "name",
+    job.name = opt_text(kv, "name",
                         job.profile.model.empty()
                             ? "job" + std::to_string(jobs.size())
                             : job.profile.model + "#" +
@@ -956,70 +990,20 @@ std::vector<ScenarioJob> parse_scenario_jobs(
   return jobs;
 }
 
-/// The --policy / --seconds / --flow-schedule trio shared by scenario,
-/// faults, and branch replays of either.
-void apply_scenario_opts(ScenarioConfig& cfg,
-                         const std::map<std::string, std::string>& opts) {
-  if (opts.contains("policy")) {
-    cfg.policy = parse_policy_kind(opts.at("policy"));
-  }
-  if (opts.contains("cc-policy-table")) {
-    cfg.transports.table.table =
-        CcPolicyTable::load(opts.at("cc-policy-table"));
-  }
-  cfg.duration =
-      Duration::seconds(opts.contains("seconds")
-                            ? std::atoi(opts.at("seconds").c_str())
-                            : 20);
-  if (opts.contains("flow-schedule")) {
-    cfg.flow_schedule = std::atoi(opts.at("flow-schedule").c_str()) != 0;
-  }
+/// The link a fault spec without link= hits: the dumbbell's bottleneck
+/// cable (both ways) or, on the cluster fabric, the first ToR uplink.
+std::string default_fault_link(const std::string& cmd) {
+  return cmd == "cluster" ? "tor0->spine0" : "swL->swR";
 }
 
-int cmd_scenario(const std::vector<std::string>& job_args,
-                 const std::map<std::string, std::string>& opts) {
-  if (job_args.empty()) usage("scenario needs at least one --job");
-  const std::vector<ScenarioJob> jobs = parse_scenario_jobs(job_args);
-  ScenarioConfig cfg;
-  apply_scenario_opts(cfg, opts);
-  const std::string spec = canonical_run_spec("scenario", job_args, {}, opts);
-  TraceSetup trace;
-  CheckpointSetup ckpt;
-  cfg.checkpoint = ckpt.configure(spec, opts, trace);
-  cfg.trace = trace.configure(opts);
-  if (cfg.checkpoint != nullptr && trace.has_file()) {
-    cfg.checkpoint->set_trace_bytes_fn(
-        [&trace] { return trace.logical_trace_bytes(); });
-  }
-  const auto result = run_dumbbell_scenario(jobs, cfg);
-  ckpt.check_verified();
-
-  std::printf("policy %s, %zu jobs, %.0f s simulated:\n\n",
-              to_string(cfg.policy), jobs.size(), cfg.duration.to_seconds());
-  TextTable table({"job", "iterations", "mean ms", "median ms", "p95 ms",
-                   "solo ms"});
-  const Rate goodput = scenario_goodput(cfg);
-  for (std::size_t i = 0; i < result.jobs.size(); ++i) {
-    const auto& j = result.jobs[i];
-    table.add_row({j.name, std::to_string(j.iterations),
-                   TextTable::num(j.mean_ms, 1), TextTable::num(j.median_ms, 1),
-                   TextTable::num(j.p95_ms, 1),
-                   TextTable::num(
-                       jobs[i].profile.solo_iteration(goodput).to_millis(),
-                       1)});
-  }
-  std::printf("%s", table.render().c_str());
-  trace.finish();
-  return trace.health_exit_code(opts);
-}
-
-FaultPlan parse_fault_plan(
-    const std::vector<std::pair<std::string, std::string>>& fault_args,
-    std::size_t job_count, const std::map<std::string, std::string>& opts) {
+/// Parses fault flags (--flap, --brownout, --straggler, --pause, --depart,
+/// --arrive, or branch's --with-*), in command-line order, into a plan.
+/// Link faults without link= hit `default_link`; a job fault must name one
+/// of the `job_count` jobs.
+FaultPlan parse_fault_plan(const FaultArgs& fault_args,
+                           const std::string& default_link,
+                           std::size_t job_count) {
   FaultPlan plan;
-  if (opts.contains("seed")) {
-    plan.seed = static_cast<std::uint64_t>(std::atoll(opts.at("seed").c_str()));
-  }
   const auto at = [](const std::map<std::string, std::string>& kv) {
     return TimePoint::origin() + Duration::from_millis_f(want_num(kv, "at_ms"));
   };
@@ -1034,7 +1018,7 @@ FaultPlan parse_fault_plan(
   };
   for (const auto& [kind, arg] : fault_args) {
     const auto kv = parse_kv(arg);
-    const std::string link = want_str(kv, "link", "swL->swR");
+    const std::string link = opt_text(kv, "link", default_link);
     if (kind == "flap") {
       plan.flap(at(kv), Duration::from_millis_f(want_num(kv, "for_ms")), link);
     } else if (kind == "brownout") {
@@ -1055,33 +1039,76 @@ FaultPlan parse_fault_plan(
   return plan;
 }
 
-int cmd_faults(
-    const std::vector<std::string>& job_args,
-    const std::vector<std::pair<std::string, std::string>>& fault_args,
-    const std::map<std::string, std::string>& opts) {
+/// Everything a dumbbell run is built from, reconstructible from the
+/// option map alone: scenario, faults and sweep parse it from the command
+/// line, branch replays parse it back out of a snapshot's stored spec.
+struct ScenarioSetup {
+  std::vector<ScenarioJob> jobs;
+  ScenarioConfig cfg;
+};
+
+ScenarioSetup make_scenario_setup(const std::vector<std::string>& job_args,
+                                  const FaultArgs& fault_args,
+                                  const Options& opts) {
+  ScenarioSetup s{parse_scenario_jobs(job_args), {}};
+  ScenarioConfig& cfg = s.cfg;
+  if (opts.contains("policy")) {
+    cfg.policy = parse_policy_kind(opts.at("policy"));
+  }
+  if (opts.contains("cc-policy-table")) {
+    cfg.transports.table.table =
+        CcPolicyTable::load(opts.at("cc-policy-table"));
+  }
+  cfg.duration = Duration::seconds(opt_int(opts, "seconds", 20));
+  cfg.flow_schedule = opt_int(opts, "flow-schedule", cfg.flow_schedule) != 0;
+  cfg.faults = parse_fault_plan(fault_args, default_fault_link("scenario"),
+                                s.jobs.size());
+  cfg.faults.seed = opt_seed(opts, "seed", cfg.faults.seed);
+  return s;
+}
+
+int cmd_scenario(const std::vector<std::string>& job_args,
+                 const Options& opts) {
+  if (job_args.empty()) usage("scenario needs at least one --job");
+  ScenarioSetup s = make_scenario_setup(job_args, {}, opts);
+  RunOutputs outputs(canonical_run_spec("scenario", job_args, {}, opts), opts);
+  outputs.attach(s.cfg);
+  const auto result = run_dumbbell_scenario(s.jobs, s.cfg);
+  outputs.check_verified();
+
+  std::printf("policy %s, %zu jobs, %.0f s simulated:\n\n",
+              to_string(s.cfg.policy), s.jobs.size(),
+              s.cfg.duration.to_seconds());
+  TextTable table({"job", "iterations", "mean ms", "median ms", "p95 ms",
+                   "solo ms"});
+  const Rate goodput = scenario_goodput(s.cfg);
+  for (std::size_t i = 0; i < result.jobs.size(); ++i) {
+    const auto& j = result.jobs[i];
+    table.add_row({j.name, std::to_string(j.iterations),
+                   TextTable::num(j.mean_ms, 1), TextTable::num(j.median_ms, 1),
+                   TextTable::num(j.p95_ms, 1),
+                   TextTable::num(
+                       s.jobs[i].profile.solo_iteration(goodput).to_millis(),
+                       1)});
+  }
+  std::printf("%s", table.render().c_str());
+  return outputs.finish();
+}
+
+int cmd_faults(const std::vector<std::string>& job_args,
+               const FaultArgs& fault_args, const Options& opts) {
   if (job_args.empty()) usage("faults needs at least one --job");
   if (fault_args.empty()) usage("faults needs at least one fault flag");
-  const std::vector<ScenarioJob> jobs = parse_scenario_jobs(job_args);
-  ScenarioConfig cfg;
-  apply_scenario_opts(cfg, opts);
-  cfg.faults = parse_fault_plan(fault_args, jobs.size(), opts);
-  const std::string spec = canonical_run_spec("faults", job_args, fault_args,
-                                              opts);
-  TraceSetup trace;
-  CheckpointSetup ckpt;
-  cfg.checkpoint = ckpt.configure(spec, opts, trace);
-  cfg.trace = trace.configure(opts);
-  if (cfg.checkpoint != nullptr && trace.has_file()) {
-    cfg.checkpoint->set_trace_bytes_fn(
-        [&trace] { return trace.logical_trace_bytes(); });
-  }
-
-  const auto result = run_dumbbell_scenario(jobs, cfg);
-  ckpt.check_verified();
+  ScenarioSetup s = make_scenario_setup(job_args, fault_args, opts);
+  RunOutputs outputs(
+      canonical_run_spec("faults", job_args, fault_args, opts), opts);
+  outputs.attach(s.cfg);
+  const auto result = run_dumbbell_scenario(s.jobs, s.cfg);
+  outputs.check_verified();
 
   std::printf("policy %s, %zu jobs, %.0f s simulated, %zu fault events:\n\n",
-              to_string(cfg.policy), jobs.size(), cfg.duration.to_seconds(),
-              cfg.faults.events.size());
+              to_string(s.cfg.policy), s.jobs.size(),
+              s.cfg.duration.to_seconds(), s.cfg.faults.events.size());
   TextTable table({"job", "iterations", "mean ms", "median ms", "p95 ms"});
   for (const auto& j : result.jobs) {
     table.add_row({j.name, std::to_string(j.iterations),
@@ -1096,11 +1123,10 @@ int cmd_faults(
                 (ev.at - TimePoint::origin()).to_millis(), to_string(ev.kind),
                 ev.is_link_event()
                     ? ev.link_name.c_str()
-                    : jobs[static_cast<std::size_t>(ev.job.value)]
+                    : s.jobs[static_cast<std::size_t>(ev.job.value)]
                           .name.c_str());
   }
-  trace.finish();
-  const int health_rc = trace.health_exit_code(opts);
+  const int health_rc = outputs.finish();
   if (result.recovery) {
     std::printf("\n%s", result.recovery->summary().c_str());
     if (!result.recovery->all_converged()) return 1;
@@ -1108,16 +1134,19 @@ int cmd_faults(
   return health_rc;
 }
 
+/// --threads: 0 (the default) means one per hardware thread.
+SweepRunner make_pool(const Options& opts) {
+  SweepOptions sw;
+  sw.threads = static_cast<unsigned>(opt_int(opts, "threads", 0));
+  return SweepRunner(sw);
+}
+
 int cmd_sweep(const std::vector<std::string>& job_args,
-              const std::map<std::string, std::string>& opts) {
+              const Options& opts) {
   if (job_args.empty()) usage("sweep needs at least one --job");
   if (!opts.contains("param")) usage("sweep needs --param");
   if (!opts.contains("values")) usage("sweep needs --values");
   const std::string param = opts.at("param");
-  if (param != "timer_us" && param != "rai_mbps" && param != "start_ms" &&
-      param != "bottleneck_gbps") {
-    usage(("unknown sweep param: " + param).c_str());
-  }
   std::vector<double> values;
   {
     std::stringstream ss(opts.at("values"));
@@ -1132,44 +1161,30 @@ int cmd_sweep(const std::vector<std::string>& job_args,
   }
   if (values.empty()) usage("sweep needs at least one value");
 
-  const std::vector<ScenarioJob> base_jobs = parse_scenario_jobs(job_args);
-  ScenarioConfig base_cfg;
-  if (opts.contains("policy")) {
-    base_cfg.policy = parse_policy_kind(opts.at("policy"));
-  }
-  base_cfg.duration =
-      Duration::seconds(opts.contains("seconds")
-                            ? std::atoi(opts.at("seconds").c_str())
-                            : 20);
-
-  SweepOptions sw;
-  if (opts.contains("threads")) {
-    sw.threads = static_cast<unsigned>(std::atoi(opts.at("threads").c_str()));
-  }
-  SweepRunner pool(sw);
+  const ScenarioSetup base = make_scenario_setup(job_args, {}, opts);
+  SweepRunner pool = make_pool(opts);
   // Every grid point simulates from its own copies of the job list and
   // config; results come back in grid order regardless of thread timing.
   const auto results = pool.run(values, [&](double v, std::size_t) {
-    std::vector<ScenarioJob> jobs = base_jobs;
-    ScenarioConfig cfg = base_cfg;
+    ScenarioSetup s = base;
     if (param == "timer_us") {
-      jobs[0].cc_timer = Duration::from_micros_f(v);
+      s.jobs[0].cc_timer = Duration::from_micros_f(v);
     } else if (param == "rai_mbps") {
-      jobs[0].cc_rai = Rate::mbps(v);
+      s.jobs[0].cc_rai = Rate::mbps(v);
     } else if (param == "start_ms") {
-      jobs[0].start_offset = Duration::from_millis_f(v);
+      s.jobs[0].start_offset = Duration::from_millis_f(v);
     } else {  // bottleneck_gbps
-      cfg.bottleneck = Rate::gbps(v);
+      s.cfg.bottleneck = Rate::gbps(v);
     }
-    return run_dumbbell_scenario(jobs, cfg);
+    return run_dumbbell_scenario(s.jobs, s.cfg);
   });
 
   std::printf("sweep of %s over %zu values (%s, %.0f s simulated, %u "
               "threads):\n\n",
-              param.c_str(), values.size(), to_string(base_cfg.policy),
-              base_cfg.duration.to_seconds(), pool.thread_count());
+              param.c_str(), values.size(), to_string(base.cfg.policy),
+              base.cfg.duration.to_seconds(), pool.thread_count());
   std::vector<std::string> headers = {param};
-  for (const auto& j : base_jobs) headers.push_back(j.name + " mean ms");
+  for (const auto& j : base.jobs) headers.push_back(j.name + " mean ms");
   TextTable table(headers);
   for (std::size_t i = 0; i < values.size(); ++i) {
     std::vector<std::string> row = {TextTable::num(values[i], 1)};
@@ -1178,6 +1193,11 @@ int cmd_sweep(const std::vector<std::string>& job_args,
   }
   std::printf("%s", table.render().c_str());
   return 0;
+}
+
+AdmissionPolicyKind admission_policy(const std::string& name) {
+  return name == "locality" ? AdmissionPolicyKind::kLocalityOnly
+                            : AdmissionPolicyKind::kCompatibilityAware;
 }
 
 /// Everything an orchestrator run is built from, reconstructible from the
@@ -1193,31 +1213,27 @@ struct ClusterSetup {
   int spines;
 };
 
-ClusterSetup make_cluster_setup(
-    const std::vector<std::pair<std::string, std::string>>& fault_args,
-    const std::map<std::string, std::string>& opts) {
-  const auto num_opt = [&](const char* key, double fallback) {
-    const auto it = opts.find(key);
-    return it == opts.end() ? fallback : std::atof(it->second.c_str());
-  };
-
+ClusterSetup make_cluster_setup(const FaultArgs& fault_args,
+                                const Options& opts) {
   ArrivalConfig acfg;
-  acfg.seed = static_cast<std::uint64_t>(num_opt("seed", 1));
-  acfg.rate_per_min = num_opt("rate", 12);
-  acfg.horizon = Duration::from_seconds_f(num_opt("seconds", 60));
-  acfg.mean_service_extra = Duration::from_seconds_f(num_opt("service-s", 12));
-  acfg.min_workers = static_cast<int>(num_opt("workers-min", 2));
-  acfg.max_workers = static_cast<int>(num_opt("workers-max", 4));
+  acfg.seed = opt_seed(opts, "seed", 1);
+  acfg.rate_per_min = opt_real(opts, "rate", 12);
+  acfg.horizon = Duration::from_seconds_f(opt_real(opts, "seconds", 60));
+  acfg.mean_service_extra =
+      Duration::from_seconds_f(opt_real(opts, "service-s", 12));
+  acfg.min_workers = opt_int(opts, "workers-min", 2);
+  acfg.max_workers = opt_int(opts, "workers-max", 4);
   ArrivalSchedule schedule = generate_arrivals(acfg);
 
-  const int tors = static_cast<int>(num_opt("tors", 4));
-  const int hosts = static_cast<int>(num_opt("hosts", 4));
-  const int spines = static_cast<int>(num_opt("spines", 2));
+  const int tors = opt_int(opts, "tors", 4);
+  const int hosts = opt_int(opts, "hosts", 4);
+  const int spines = opt_int(opts, "spines", 2);
   // --fabric-gbps sets the ToR->spine uplink rate; dropping it below the
   // 50 Gb/s host rate oversubscribes the fabric and makes spanning jobs
   // contend on MULTIPLE links of one route (the multi-bottleneck regime).
-  Topology topo = Topology::leaf_spine(tors, hosts, spines, Rate::gbps(50),
-                                       Rate::gbps(num_opt("fabric-gbps", 50)));
+  Topology topo = Topology::leaf_spine(
+      tors, hosts, spines, Rate::gbps(50),
+      Rate::gbps(opt_real(opts, "fabric-gbps", 50)));
 
   OrchestratorConfig cfg;
   if (opts.contains("policy")) {
@@ -1228,70 +1244,30 @@ ClusterSetup make_cluster_setup(
         CcPolicyTable::load(opts.at("cc-policy-table"));
   }
   cfg.horizon = acfg.horizon;
-  cfg.flow_schedule = num_opt("flow-schedule", 1) != 0;
-  const std::string circle =
-      opts.contains("circle") ? opts.at("circle") : "graph";
-  if (circle == "single") {
-    cfg.circle = OrchestratorConfig::CircleMode::kSingleCircle;
-  } else if (circle == "graph") {
-    cfg.circle = OrchestratorConfig::CircleMode::kGraph;
-  } else {
-    usage(("unknown circle mode: " + circle +
-           " (expected single or graph)").c_str());
-  }
-  const std::string adm = opts.contains("admission") ? opts.at("admission")
-                                                     : "compat";
-  if (adm == "locality") {
-    cfg.admission.policy = AdmissionPolicyKind::kLocalityOnly;
-  } else if (adm == "compat") {
-    cfg.admission.policy = AdmissionPolicyKind::kCompatibilityAware;
-  } else {
-    usage(("unknown admission policy: " + adm +
-           " (expected locality or compat)").c_str());
-  }
-  cfg.admission.queue_capacity = static_cast<int>(num_opt("queue-cap", 16));
+  cfg.flow_schedule = opt_int(opts, "flow-schedule", 1) != 0;
+  cfg.circle = opt_text(opts, "circle", "graph") == "single"
+                   ? OrchestratorConfig::CircleMode::kSingleCircle
+                   : OrchestratorConfig::CircleMode::kGraph;
+  cfg.admission.policy = admission_policy(opt_text(opts, "admission", "compat"));
+  cfg.admission.queue_capacity = opt_int(opts, "queue-cap", 16);
   cfg.admission.queue_timeout =
-      Duration::from_seconds_f(num_opt("queue-timeout-s", 30));
-
+      Duration::from_seconds_f(opt_real(opts, "queue-timeout-s", 30));
+  cfg.faults = parse_fault_plan(fault_args, default_fault_link("cluster"), 0);
   cfg.faults.seed = acfg.seed;
-  for (const auto& [kind, arg] : fault_args) {
-    const auto kv = parse_kv(arg);
-    const auto at =
-        TimePoint::origin() + Duration::from_millis_f(want_num(kv, "at_ms"));
-    const std::string link = want_str(kv, "link", "tor0->spine0");
-    if (kind == "flap") {
-      cfg.faults.flap(at, Duration::from_millis_f(want_num(kv, "for_ms")),
-                      link);
-    } else if (kind == "brownout") {
-      cfg.faults.brownout(at, Duration::from_millis_f(want_num(kv, "for_ms")),
-                          link, want_num(kv, "factor"));
-    } else {
-      usage(("cluster supports only link faults, not --" + kind).c_str());
-    }
-  }
 
   return ClusterSetup{std::move(acfg), std::move(schedule), std::move(topo),
                       std::move(cfg),  tors,               hosts,
                       spines};
 }
 
-int cmd_cluster(
-    const std::vector<std::pair<std::string, std::string>>& fault_args,
-    const std::map<std::string, std::string>& opts) {
+int cmd_cluster(const FaultArgs& fault_args, const Options& opts) {
   ClusterSetup cs = make_cluster_setup(fault_args, opts);
-  const std::string spec = canonical_run_spec("cluster", {}, fault_args, opts);
-  TraceSetup trace;
-  CheckpointSetup ckpt;
-  cs.cfg.checkpoint = ckpt.configure(spec, opts, trace);
-  cs.cfg.trace = trace.configure(opts);
-  if (cs.cfg.checkpoint != nullptr && trace.has_file()) {
-    cs.cfg.checkpoint->set_trace_bytes_fn(
-        [&trace] { return trace.logical_trace_bytes(); });
-  }
-
+  RunOutputs outputs(canonical_run_spec("cluster", {}, fault_args, opts),
+                     opts);
+  outputs.attach(cs.cfg);
   Orchestrator orch(cs.topo, cs.schedule, cs.cfg);
   const ClusterRunReport report = orch.run();
-  ckpt.check_verified();
+  outputs.check_verified();
 
   std::printf(
       "online cluster: %dx%d hosts, %d spines | %s admission, %s policy | "
@@ -1301,8 +1277,7 @@ int cmd_cluster(
       static_cast<unsigned long long>(cs.acfg.seed), cs.acfg.rate_per_min,
       cs.cfg.horizon.to_seconds());
   std::printf("%s", report.summary().c_str());
-  trace.finish();
-  return trace.health_exit_code(opts);
+  return outputs.finish();
 }
 
 // --- What-if branching -------------------------------------------------------
@@ -1328,45 +1303,24 @@ struct BranchOutcome {
 /// yields a diffable stream.
 struct BranchTrace {
   explicit BranchTrace(const RunSpec& rs) {
-    const Duration cadence = Duration::from_millis_f(
-        rs.opts.contains("trace-cadence-ms")
-            ? std::atof(rs.opts.at("trace-cadence-ms").c_str())
-            : 5.0);
-    JsonlSinkOptions jopts;
-    if (rs.traced) jopts.sample_cadence = cadence;
-    sink = std::make_unique<JsonlSink>(oss, jopts);
-    if (rs.health) {
-      AnalyticsConfig acfg;
-      acfg.sample_cadence = cadence;
-      engine = std::make_unique<AnalyticsEngine>(acfg);
-      engine->set_output(sink.get());
-      bus.add_sink(*engine);
-    } else {
-      bus.add_sink(*sink);
-    }
+    const Duration cadence = trace_cadence(rs.opts);
+    chain.open_sink(oss.rdbuf(), 0, "jsonl",
+                    rs.traced ? cadence : Duration::zero());
+    chain.connect(rs.health, cadence);
   }
 
-  std::uint64_t bytes() { return static_cast<std::uint64_t>(oss.tellp()); }
-
   std::ostringstream oss;
-  TraceBus bus;
-  std::unique_ptr<JsonlSink> sink;
-  std::unique_ptr<AnalyticsEngine> engine;
+  TraceChain chain;
 };
 
-Duration checkpoint_cadence_of(const RunSpec& rs) {
+CheckpointCoordinator make_branch_coordinator(const RunSpec& rs,
+                                              const Snapshot& target) {
   if (!rs.opts.contains("checkpoint-every")) {
     throw SnapshotError(
         "snapshot spec carries no --checkpoint-every; cannot replay");
   }
-  return Duration::from_millis_f(
-      std::atof(rs.opts.at("checkpoint-every").c_str()));
-}
-
-CheckpointCoordinator make_branch_coordinator(const RunSpec& rs,
-                                              const Snapshot& target) {
   CheckpointCoordinator::Options co;
-  co.every = checkpoint_cadence_of(rs);
+  co.every = Duration::from_millis_f(opt_real(rs.opts, "checkpoint-every", 0));
   co.run_spec = target.get("spec");
   co.mode = CheckpointCoordinator::Mode::kReplayOnly;
   co.target = target;
@@ -1374,121 +1328,84 @@ CheckpointCoordinator make_branch_coordinator(const RunSpec& rs,
   return CheckpointCoordinator(std::move(co));
 }
 
-void emit_branch_marker(TraceBus& bus, TimePoint now, std::size_t index,
-                        const BranchDef& b) {
-  TraceEvent ev;
-  ev.time = now;
-  ev.kind = TraceEventKind::kCkptBranch;
-  ev.value = static_cast<double>(index);
-  ev.detail = b.dimension.c_str();
-  bus.emit(ev);
-}
-
-BranchOutcome run_scenario_branch(const RunSpec& rs, const Snapshot& target,
-                                  const BranchDef& b, std::size_t index) {
-  const std::vector<ScenarioJob> jobs = parse_scenario_jobs(rs.job_args);
-  ScenarioConfig cfg;
-  apply_scenario_opts(cfg, rs.opts);
-  cfg.faults = parse_fault_plan(rs.fault_args, jobs.size(), rs.opts);
-
+/// Runs one what-if continuation of a scenario, faults or cluster
+/// recording: replays it to the snapshot's cursor, verifying it
+/// byte-for-byte, applies the branch's variation there and runs on to the
+/// original horizon with the trace kept in memory.
+BranchOutcome run_branch(const RunSpec& rs, const Snapshot& target,
+                         const BranchDef& b, std::size_t index) {
   BranchTrace trace(rs);
   CheckpointCoordinator ck = make_branch_coordinator(rs, target);
-  if (rs.traced) {
-    ck.set_trace_bytes_fn([&trace] { return trace.bytes(); });
-  }
+  if (rs.traced) trace.chain.count_bytes_for(ck);
   std::unique_ptr<FaultInjector> extra;  // keeps cursor-applied faults alive
-  cfg.checkpoint = &ck;
-  cfg.trace = &trace.bus;
-  cfg.on_cursor = [&](Simulator& sim, Network& net) {
-    emit_branch_marker(trace.bus, sim.now(), index, b);
+  // At the cursor, on either engine: mark the fork in the trace, then swap
+  // the transport or arm the extra faults.
+  const auto fork = [&](Simulator& sim, Network& net,
+                        const TransportConfig& transports) {
+    TraceEvent ev;
+    ev.time = sim.now();
+    ev.kind = TraceEventKind::kCkptBranch;
+    ev.value = static_cast<double>(index);
+    ev.detail = b.dimension.c_str();
+    trace.chain.bus.emit(ev);
     if (b.dimension == "transport") {
-      net.replace_policy(make_policy(parse_policy_kind(b.value), cfg.transports));
+      net.replace_policy(make_policy(parse_policy_kind(b.value), transports));
     } else if (b.dimension == "faults") {
       extra = std::make_unique<FaultInjector>(sim, net, b.extra);
       extra->arm();
     }
   };
 
-  const ScenarioResult result = run_dumbbell_scenario(jobs, cfg);
-  if (!ck.verified()) {
-    throw ResumeDivergence("branch '" + b.name +
-                           "' never reached the snapshot's cursor");
-  }
-  trace.bus.flush();
-
   BranchOutcome out;
-  out.jsonl = trace.oss.str();
-  for (const auto& j : result.jobs) {
-    if (!out.summary.empty()) out.summary += " | ";
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "%s: %zu iters, mean %.1f ms",
-                  j.name.c_str(), j.iterations, j.mean_ms);
-    out.summary += buf;
-  }
-  return out;
-}
-
-BranchOutcome run_cluster_branch(const RunSpec& rs, const Snapshot& target,
-                                 const BranchDef& b, std::size_t index) {
-  ClusterSetup cs = make_cluster_setup(rs.fault_args, rs.opts);
-
-  BranchTrace trace(rs);
-  CheckpointCoordinator ck = make_branch_coordinator(rs, target);
-  if (rs.traced) {
-    ck.set_trace_bytes_fn([&trace] { return trace.bytes(); });
-  }
-  std::unique_ptr<FaultInjector> extra;
-  cs.cfg.checkpoint = &ck;
-  cs.cfg.trace = &trace.bus;
-  cs.cfg.on_cursor = [&](OrchestratorCursorContext& ctx) {
-    emit_branch_marker(trace.bus, ctx.sim.now(), index, b);
-    if (b.dimension == "admission") {
-      ctx.admission.set_policy(b.value == "locality"
-                                   ? AdmissionPolicyKind::kLocalityOnly
-                                   : AdmissionPolicyKind::kCompatibilityAware);
-      ctx.drain_queue();
-    } else if (b.dimension == "transport") {
-      ctx.net.replace_policy(
-          make_policy(parse_policy_kind(b.value), cs.cfg.transports));
-    } else if (b.dimension == "faults") {
-      extra = std::make_unique<FaultInjector>(ctx.sim, ctx.net, b.extra);
-      extra->arm();
+  if (rs.cmd == "cluster") {
+    ClusterSetup cs = make_cluster_setup(rs.fault_args, rs.opts);
+    cs.cfg.checkpoint = &ck;
+    cs.cfg.trace = &trace.chain.bus;
+    cs.cfg.on_cursor = [&](OrchestratorCursorContext& ctx) {
+      fork(ctx.sim, ctx.net, cs.cfg.transports);
+      if (b.dimension == "admission") {
+        ctx.admission.set_policy(admission_policy(b.value));
+        ctx.drain_queue();
+      }
+    };
+    Orchestrator orch(cs.topo, cs.schedule, cs.cfg);
+    const ClusterRunReport report = orch.run();
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "%zu admitted, %zu rejected, %zu finished | mean slowdown "
+                  "%.3f, worst %.3f | mean queue %.1f ms",
+                  report.admitted, report.rejected, report.finished,
+                  report.mean_slowdown(), report.max_slowdown(),
+                  report.mean_queue_delay_ms());
+    out.summary = buf;
+  } else {
+    ScenarioSetup s = make_scenario_setup(rs.job_args, rs.fault_args, rs.opts);
+    s.cfg.checkpoint = &ck;
+    s.cfg.trace = &trace.chain.bus;
+    s.cfg.on_cursor = [&](Simulator& sim, Network& net) {
+      fork(sim, net, s.cfg.transports);
+    };
+    const ScenarioResult result = run_dumbbell_scenario(s.jobs, s.cfg);
+    for (const auto& j : result.jobs) {
+      char buf[128];
+      std::snprintf(buf, sizeof(buf), "%s: %zu iters, mean %.1f ms",
+                    j.name.c_str(), j.iterations, j.mean_ms);
+      out.summary += (out.summary.empty() ? "" : " | ") + std::string(buf);
     }
-  };
-
-  Orchestrator orch(cs.topo, cs.schedule, cs.cfg);
-  const ClusterRunReport report = orch.run();
+  }
   if (!ck.verified()) {
     throw ResumeDivergence("branch '" + b.name +
                            "' never reached the snapshot's cursor");
   }
-  trace.bus.flush();
-
-  BranchOutcome out;
+  trace.chain.bus.flush();
   out.jsonl = trace.oss.str();
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "%zu admitted, %zu rejected, %zu finished | mean slowdown "
-                "%.3f, worst %.3f | mean queue %.1f ms",
-                report.admitted, report.rejected, report.finished,
-                report.mean_slowdown(), report.max_slowdown(),
-                report.mean_queue_delay_ms());
-  out.summary = buf;
   return out;
 }
 
 std::vector<std::string> split_lines(const std::string& s) {
   std::vector<std::string> lines;
-  std::size_t start = 0;
-  while (start < s.size()) {
-    const std::size_t nl = s.find('\n', start);
-    if (nl == std::string::npos) {
-      lines.push_back(s.substr(start));
-      break;
-    }
-    lines.push_back(s.substr(start, nl - start));
-    start = nl + 1;
-  }
+  std::istringstream in(s);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
   return lines;
 }
 
@@ -1525,10 +1442,8 @@ std::string truncated(const std::string& s, std::size_t max = 110) {
   return s.size() <= max ? s : s.substr(0, max) + "...";
 }
 
-int cmd_branch(
-    const std::vector<std::string>& vary_args,
-    const std::vector<std::pair<std::string, std::string>>& extra_fault_args,
-    const std::map<std::string, std::string>& opts) {
+int cmd_branch(const std::vector<std::string>& vary_args,
+               const FaultArgs& extra_fault_args, const Options& opts) {
   if (!opts.contains("from")) usage("branch needs --from SNAPSHOT");
   const Snapshot target = Snapshot::load(opts.at("from"));
   const RunSpec rs = parse_run_spec(target.get("spec"));
@@ -1551,10 +1466,8 @@ int cmd_branch(
     const std::string val = v.substr(eq + 1);
     if (dim == "admission") {
       if (!cluster) usage("--vary admission= only applies to cluster snapshots");
-      if (val != "locality" && val != "compat") {
-        usage(("unknown admission policy: " + val +
-               " (expected locality or compat)").c_str());
-      }
+      check_value("--vary admission",
+                  command_options().at("cluster").at("admission"), val);
     } else if (dim == "transport") {
       parse_policy_kind(val);  // throws on junk before any replay starts
     } else {
@@ -1566,10 +1479,8 @@ int cmd_branch(
   if (!extra_fault_args.empty()) {
     // All --with-* events fold into one extra fault plan, armed at the
     // cursor; they must land on the continuation, not the shared history.
-    FaultPlan plan;
     for (const auto& [kind, arg] : extra_fault_args) {
-      const auto kv = parse_kv(arg);
-      const double at_ms = want_num(kv, "at_ms");
+      const double at_ms = want_num(parse_kv(arg), "at_ms");
       if (at_ms * 1e6 <= static_cast<double>(cursor.time_ns)) {
         usage(("--with-" + kind + " at_ms=" + std::to_string(at_ms) +
                " is before the snapshot cursor (" +
@@ -1577,32 +1488,19 @@ int cmd_branch(
                " ms); what-if faults must hit the continuation")
                   .c_str());
       }
-      const auto at =
-          TimePoint::origin() + Duration::from_millis_f(at_ms);
-      const std::string link =
-          want_str(kv, "link", cluster ? "tor0->spine0" : "swL->swR");
-      if (kind == "flap") {
-        plan.flap(at, Duration::from_millis_f(want_num(kv, "for_ms")), link);
-      } else {
-        plan.brownout(at, Duration::from_millis_f(want_num(kv, "for_ms")),
-                      link, want_num(kv, "factor"));
-      }
     }
-    branches.push_back(BranchDef{"faults", "faults", "", std::move(plan)});
+    branches.push_back(BranchDef{
+        "faults", "faults", "",
+        parse_fault_plan(extra_fault_args, default_fault_link(rs.cmd), 0)});
   }
   if (branches.size() == 1) {
     usage("branch needs at least one --vary or --with-* variation");
   }
 
-  SweepOptions sw;
-  if (opts.contains("threads")) {
-    sw.threads = static_cast<unsigned>(std::atoi(opts.at("threads").c_str()));
-  }
-  SweepRunner pool(sw);
+  SweepRunner pool = make_pool(opts);
   const std::vector<BranchOutcome> outcomes =
       pool.run(branches, [&](const BranchDef& b, std::size_t i) {
-        return cluster ? run_cluster_branch(rs, target, b, i)
-                       : run_scenario_branch(rs, target, b, i);
+        return run_branch(rs, target, b, i);
       });
 
   std::printf(
@@ -1636,7 +1534,7 @@ int cmd_branch(
 }
 
 int cmd_analyze(const std::vector<std::string>& positional,
-                const std::map<std::string, std::string>& opts) {
+                const Options& opts) {
   if (positional.size() != 1) {
     usage("analyze needs exactly one trace file (JSONL format)");
   }
@@ -1666,11 +1564,11 @@ int main(int argc, char** argv) {
   if (argc < 2) usage();
   const std::string cmd = argv[1];
   std::vector<std::string> job_args;
-  std::vector<std::pair<std::string, std::string>> fault_args;
+  FaultArgs fault_args;
   std::vector<std::string> vary_args;
-  std::vector<std::pair<std::string, std::string>> with_fault_args;
+  FaultArgs with_fault_args;
   std::vector<std::string> positional;
-  std::map<std::string, std::string> opts;
+  Options opts;
   std::vector<std::string> flags;
   for (int i = 2; i < argc; ++i) {
     std::string a = argv[i];
