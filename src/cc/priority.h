@@ -8,16 +8,14 @@
 // of unfairness without changing the congestion controller.
 #pragma once
 
-#include "net/policy.h"
+#include "cc/water_fill.h"
 
 namespace ccml {
 
-class PriorityPolicy final : public BandwidthPolicy {
+class PriorityPolicy final : public WaterFillPolicy {
  public:
   const char* name() const override { return "strict-priority"; }
   void update_rates(Network& net, TimePoint now, Duration dt) override;
-  // Allocation is recomputed from scratch each step; nothing decays.
-  bool quiescent() const override { return true; }
 };
 
 }  // namespace ccml

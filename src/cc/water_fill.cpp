@@ -97,4 +97,22 @@ std::vector<Rate> water_fill(const Network& net,
   return rates;
 }
 
+void WaterFillPolicy::update_rates_burst(Network& net, TimePoint first,
+                                         Duration dt, std::uint64_t ticks) {
+  update_rates(net, first, dt);
+  const double dt_s = dt.to_seconds();
+  for (std::uint64_t k = 0; k < ticks; ++k) {
+    net.integrate_progress_unchecked(dt_s);
+  }
+}
+
+double WaterFillPolicy::rate_bound_bps(const Network& net,
+                                       std::uint32_t slot) const {
+  double bound = std::numeric_limits<double>::infinity();
+  for (const std::int32_t l : net.route_links(slot)) {
+    bound = std::min(bound, net.effective_capacity(LinkId{l}).bits_per_sec());
+  }
+  return bound;
+}
+
 }  // namespace ccml

@@ -4,16 +4,14 @@
 // weighted rather than strict).
 #pragma once
 
-#include "net/policy.h"
+#include "cc/water_fill.h"
 
 namespace ccml {
 
-class WfqPolicy final : public BandwidthPolicy {
+class WfqPolicy final : public WaterFillPolicy {
  public:
   const char* name() const override { return "wfq"; }
   void update_rates(Network& net, TimePoint now, Duration dt) override;
-  // Allocation is recomputed from scratch each step; nothing decays.
-  bool quiescent() const override { return true; }
 };
 
 }  // namespace ccml
