@@ -11,48 +11,17 @@
 
 namespace ccml {
 
-namespace {
-
-struct Boundary {
-  std::int64_t pos;
-  int count_delta;
-  double demand_delta;
-};
-
-void collect(const CircularIntervalSet& set, double demand_bps,
-             std::vector<Boundary>& out) {
-  for (const auto& [lo, hi] : set.segments()) {
-    out.push_back({lo.ns(), +1, demand_bps});
-    out.push_back({hi.ns(), -1, -demand_bps});
-  }
-}
-
-}  // namespace
-
 double circle_violation_fraction(const UnifiedCircle& circle,
                                  std::span<const Duration> rotations,
                                  const SolverOptions& opts) {
-  std::vector<Boundary> bounds;
-  for (std::size_t j = 0; j < circle.job_count(); ++j) {
-    collect(circle.job_arcs(j, rotations[j]),
-            circle.job(j).demand.bits_per_sec(), bounds);
-  }
-  std::sort(bounds.begin(), bounds.end(),
-            [](const Boundary& a, const Boundary& b) { return a.pos < b.pos; });
   std::int64_t violated = 0;
-  int depth = 0;
-  double demand = 0.0;
-  std::int64_t prev = 0;
   const double cap_bps = opts.link_capacity.bits_per_sec() * (1.0 + 1e-9);
-  for (const Boundary& b : bounds) {
+  circle.sweep(rotations, [&](const UnifiedCircle::Stretch& s) {
     const bool bad = opts.mode == SolverOptions::Mode::kCount
-                         ? depth > opts.max_concurrent
-                         : demand > cap_bps;
-    if (bad) violated += b.pos - prev;
-    depth += b.count_delta;
-    demand += b.demand_delta;
-    prev = b.pos;
-  }
+                         ? s.jobs > opts.max_concurrent
+                         : s.demand_bps > cap_bps;
+    if (bad) violated += s.to_ns - s.from_ns;
+  });
   return static_cast<double>(violated) /
          static_cast<double>(circle.perimeter().ns());
 }

@@ -7,27 +7,6 @@
 
 namespace ccml {
 
-namespace {
-
-struct Boundary {
-  std::int64_t pos;
-  int count_delta;
-  double demand_delta;
-};
-
-/// Collects segment boundaries for a sweep around the circle.  Segments are
-/// the normalized [lo, hi) pieces produced by CircularIntervalSet, so they
-/// never wrap.
-void collect(const CircularIntervalSet& set, double demand_bps,
-             std::vector<Boundary>& out) {
-  for (const auto& [lo, hi] : set.segments()) {
-    out.push_back({lo.ns(), +1, demand_bps});
-    out.push_back({hi.ns(), -1, -demand_bps});
-  }
-}
-
-}  // namespace
-
 UnifiedCircle::UnifiedCircle(std::span<const CommProfile> jobs,
                              UnifiedCircleOptions options)
     : jobs_(jobs.begin(), jobs.end()) {
@@ -50,6 +29,18 @@ UnifiedCircle::UnifiedCircle(std::span<const CommProfile> jobs,
       break;
     }
   }
+  base_arcs_.reserve(jobs_.size());
+  for (std::size_t j = 0; j < jobs_.size(); ++j) {
+    const Duration p = quantized_periods_[j];
+    CircularIntervalSet set(perimeter_);
+    const std::int64_t reps = repetitions(j);
+    for (std::int64_t k = 0; k < reps; ++k) {
+      for (const Arc& a : jobs_[j].arcs) {
+        set.add(Arc{a.start + p * k, a.length});
+      }
+    }
+    base_arcs_.push_back(std::move(set));
+  }
 }
 
 std::int64_t UnifiedCircle::repetitions(std::size_t j) const {
@@ -57,84 +48,50 @@ std::int64_t UnifiedCircle::repetitions(std::size_t j) const {
   return (perimeter_.ns() + p.ns() - 1) / p.ns();
 }
 
-CircularIntervalSet UnifiedCircle::job_arcs(std::size_t j,
-                                            Duration rotation) const {
-  const CommProfile& job = jobs_.at(j);
-  const Duration p = quantized_periods_.at(j);
-  CircularIntervalSet set(perimeter_);
-  const std::int64_t reps = repetitions(j);
-  for (std::int64_t k = 0; k < reps; ++k) {
-    for (const Arc& a : job.arcs) {
-      set.add(Arc{a.start + rotation + p * k, a.length});
-    }
+std::vector<UnifiedCircle::Boundary> UnifiedCircle::merged_boundaries(
+    std::span<const Duration> rotations) const {
+  assert(rotations.size() == jobs_.size());
+  std::size_t total = 0;
+  for (const CircularIntervalSet& arcs : base_arcs_) {
+    total += 2 * (arcs.segments().size() + 1);
   }
-  return set;
+  std::vector<Boundary> bounds;
+  bounds.reserve(total);
+  for (std::size_t j = 0; j < jobs_.size(); ++j) {
+    const auto merged = static_cast<std::ptrdiff_t>(bounds.size());
+    const double demand = jobs_[j].demand.bits_per_sec();
+    base_arcs_[j].for_each_rotated(rotations[j], [&](Duration lo, Duration hi) {
+      bounds.push_back({lo.ns(), +1, demand});
+      bounds.push_back({hi.ns(), -1, -demand});
+    });
+    std::inplace_merge(bounds.begin(), bounds.begin() + merged, bounds.end(),
+                       [](const Boundary& a, const Boundary& b) {
+                         return a.pos < b.pos;
+                       });
+  }
+  return bounds;
 }
 
 double UnifiedCircle::overlap_fraction(
     std::span<const Duration> rotations) const {
-  assert(rotations.size() == jobs_.size());
-  std::vector<Boundary> bounds;
-  for (std::size_t j = 0; j < jobs_.size(); ++j) {
-    collect(job_arcs(j, rotations[j]), 0.0, bounds);
-  }
-  std::sort(bounds.begin(), bounds.end(),
-            [](const Boundary& a, const Boundary& b) { return a.pos < b.pos; });
   std::int64_t overlapped = 0;
-  int depth = 0;
-  std::int64_t prev = 0;
-  for (const Boundary& b : bounds) {
-    if (depth >= 2) overlapped += b.pos - prev;
-    depth += b.count_delta;
-    prev = b.pos;
-  }
-  // Tail after the last boundary has depth 0 (all segments closed).
+  sweep(rotations, [&](const Stretch& s) {
+    if (s.jobs >= 2) overlapped += s.to_ns - s.from_ns;
+  });
   return static_cast<double>(overlapped) /
          static_cast<double>(perimeter_.ns());
 }
 
 int UnifiedCircle::max_concurrency(std::span<const Duration> rotations) const {
-  assert(rotations.size() == jobs_.size());
-  std::vector<Boundary> bounds;
-  for (std::size_t j = 0; j < jobs_.size(); ++j) {
-    collect(job_arcs(j, rotations[j]), 0.0, bounds);
-  }
-  std::sort(bounds.begin(), bounds.end(),
-            [](const Boundary& a, const Boundary& b) { return a.pos < b.pos; });
-  // Depth only "counts" over intervals of positive length, so apply every
-  // delta at a position before sampling (a segment closing exactly where
-  // another opens does not overlap — segments are half-open).
-  int depth = 0;
   int peak = 0;
-  for (std::size_t i = 0; i < bounds.size();) {
-    const std::int64_t pos = bounds[i].pos;
-    while (i < bounds.size() && bounds[i].pos == pos) {
-      depth += bounds[i].count_delta;
-      ++i;
-    }
-    peak = std::max(peak, depth);
-  }
+  sweep(rotations, [&](const Stretch& s) { peak = std::max(peak, s.jobs); });
   return peak;
 }
 
 Rate UnifiedCircle::peak_demand(std::span<const Duration> rotations) const {
-  assert(rotations.size() == jobs_.size());
-  std::vector<Boundary> bounds;
-  for (std::size_t j = 0; j < jobs_.size(); ++j) {
-    collect(job_arcs(j, rotations[j]), jobs_[j].demand.bits_per_sec(), bounds);
-  }
-  std::sort(bounds.begin(), bounds.end(),
-            [](const Boundary& a, const Boundary& b) { return a.pos < b.pos; });
-  double demand = 0.0;
   double peak = 0.0;
-  for (std::size_t i = 0; i < bounds.size();) {
-    const std::int64_t pos = bounds[i].pos;
-    while (i < bounds.size() && bounds[i].pos == pos) {
-      demand += bounds[i].demand_delta;
-      ++i;
-    }
-    peak = std::max(peak, demand);
-  }
+  sweep(rotations,
+        [&](const Stretch& s) { peak = std::max(peak, s.demand_bps); });
   return Rate::bps(peak);
 }
 

@@ -8,6 +8,7 @@
 // solver needs.
 #pragma once
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,11 @@ class CircularIntervalSet {
   /// The set rotated counter-clockwise by `shift` (negative = clockwise).
   CircularIntervalSet rotated(Duration shift) const;
 
+  /// Calls `emit(lo, hi)` for each segment of rotated(shift), in ascending
+  /// order, without building the set: one linear pass over the segments.
+  template <class Emit>
+  void for_each_rotated(Duration shift, Emit&& emit) const;
+
   /// The uncovered part of the circle.
   CircularIntervalSet complement() const;
 
@@ -80,5 +86,43 @@ class CircularIntervalSet {
 
 /// Normalizes `point` into [0, perimeter).
 Duration wrap_to_circle(Duration point, Duration perimeter);
+
+template <class Emit>
+void CircularIntervalSet::for_each_rotated(Duration shift, Emit&& emit) const {
+  // Segments on [cut, L) land on [0, d) and come out first; the rest land
+  // on [d, L).  A segment across `cut` splits there, and the pieces that
+  // meet at d (the old zero point) merge.  Only there can two pieces abut,
+  // since the segments themselves never do.
+  const Duration d = wrap_to_circle(shift, perimeter_);
+  const Duration cut = perimeter_ - d;
+  const auto split = std::partition_point(
+      segments_.begin(), segments_.end(),
+      [cut](const std::pair<Duration, Duration>& seg) {
+        return seg.second <= cut;
+      });
+  bool open = false;
+  Duration lo;
+  Duration hi;
+  const auto piece = [&](Duration a, Duration b) {
+    if (open && hi == a) {
+      hi = b;
+      return;
+    }
+    if (open) emit(lo, hi);
+    lo = a;
+    hi = b;
+    open = true;
+  };
+  for (auto it = split; it != segments_.end(); ++it) {
+    piece(std::max(it->first, cut) - cut, it->second - cut);
+  }
+  for (auto it = segments_.begin(); it != split; ++it) {
+    piece(it->first + d, it->second + d);
+  }
+  if (split != segments_.end() && split->first < cut) {
+    piece(split->first + d, perimeter_);
+  }
+  if (open) emit(lo, hi);
+}
 
 }  // namespace ccml
