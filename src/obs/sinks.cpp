@@ -289,6 +289,12 @@ void ChromeTraceSink::on_event(const TraceEvent& ev) {
                     to_string(ev.kind), kCtrlPid, ts, ev.job.value, ev.value);
       add();
       break;
+    case TraceEventKind::kCkptWrite:
+    case TraceEventKind::kCkptBranch:
+    case TraceEventKind::kCcDecision:
+    case TraceEventKind::kCcPhase:
+      // Not drawn on the timeline.  Listed so a new kind warns (-Wswitch).
+      break;
   }
 }
 
