@@ -5,8 +5,13 @@
 //  * water-fill feasibility/Pareto properties on random topologies;
 //  * conservation in the fluid network: delivered bytes equal flow sizes;
 //  * compatibility threshold sweep: two equal jobs are compatible iff their
-//    comm fraction is <= 1/2.
+//    comm fraction is <= 1/2;
+//  * the unified circle's cached, shifted job arcs and its merged boundary
+//    sweep agree bit for bit with arc-by-arc insertion and a sorted sweep.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <utility>
 
 #include "cc/max_min_fair.h"
 #include "cc/water_fill.h"
@@ -14,6 +19,7 @@
 #include "core/solver.h"
 #include "net/network.h"
 #include "sim/simulator.h"
+#include "util/math.h"
 #include "util/rng.h"
 #include "workload/profiler.h"
 
@@ -289,6 +295,228 @@ TEST_P(SolverVsSimulation, VerdictMatchesUnfairDcqcnOutcome) {
 
 INSTANTIATE_TEST_SUITE_P(RandomPairs, SolverVsSimulation,
                          ::testing::Range<std::uint64_t>(1000, 1010));
+
+// ---------------------------------------------------------------------------
+// Unified circle: cached shifted arcs and the merged sweep vs references.
+
+using Segments = std::vector<std::pair<std::int64_t, std::int64_t>>;
+
+/// Reference coverage: every replica of every arc inserted one at a time,
+/// each insert scanning the segment list from the front and merging what it
+/// overlaps or abuts.
+class ReferenceSet {
+ public:
+  explicit ReferenceSet(std::int64_t perimeter) : L_(perimeter) {}
+
+  void add(std::int64_t start, std::int64_t length) {
+    if (length <= 0) return;
+    if (length >= L_) {
+      segs_.assign(1, {0, L_});
+      return;
+    }
+    std::int64_t lo = start % L_;
+    if (lo < 0) lo += L_;
+    if (lo + length <= L_) {
+      insert(lo, lo + length);
+    } else {
+      insert(lo, L_);
+      insert(0, lo + length - L_);
+    }
+  }
+  const Segments& segments() const { return segs_; }
+
+ private:
+  void insert(std::int64_t lo, std::int64_t hi) {
+    auto first = segs_.begin();
+    while (first != segs_.end() && first->second < lo) ++first;
+    auto last = first;
+    while (last != segs_.end() && last->first <= hi) {
+      lo = std::min(lo, last->first);
+      hi = std::max(hi, last->second);
+      ++last;
+    }
+    first = segs_.erase(first, last);
+    segs_.insert(first, {lo, hi});
+  }
+
+  std::int64_t L_;
+  Segments segs_;
+};
+
+Segments segments_of(const CircularIntervalSet& set) {
+  Segments out;
+  for (const auto& [lo, hi] : set.segments()) {
+    out.emplace_back(lo.ns(), hi.ns());
+  }
+  return out;
+}
+
+Segments reference_arcs(const UnifiedCircle& circle, std::size_t j,
+                        Duration rotation, Duration quantum) {
+  const CommProfile& job = circle.job(j);
+  Duration p = quantize(job.period, quantum);
+  if (!p.is_positive()) p = quantum;
+  ReferenceSet set(circle.perimeter().ns());
+  for (std::int64_t k = 0; k < circle.repetitions(j); ++k) {
+    for (const Arc& a : job.arcs) {
+      set.add((a.start + rotation + p * k).ns(), a.length.ns());
+    }
+  }
+  return set.segments();
+}
+
+struct ReferenceSweep {
+  std::int64_t overlapped = 0;  // length covered by >= 2 jobs
+  int peak_jobs = 0;
+  double peak_demand = 0.0;
+  std::int64_t violated = 0;  // length where the solver constraint fails
+};
+
+/// The sweep as a sort of every boundary, applying each position's deltas
+/// before sampling the peaks.
+ReferenceSweep reference_sweep(const UnifiedCircle& circle,
+                               std::span<const Duration> rotations,
+                               Duration quantum, const SolverOptions& opts) {
+  struct Boundary {
+    std::int64_t pos;
+    int count_delta;
+    double demand_delta;
+  };
+  std::vector<Boundary> bounds;
+  for (std::size_t j = 0; j < circle.job_count(); ++j) {
+    const double d = circle.job(j).demand.bits_per_sec();
+    for (const auto& [lo, hi] :
+         reference_arcs(circle, j, rotations[j], quantum)) {
+      bounds.push_back({lo, +1, d});
+      bounds.push_back({hi, -1, -d});
+    }
+  }
+  std::sort(bounds.begin(), bounds.end(),
+            [](const Boundary& a, const Boundary& b) { return a.pos < b.pos; });
+  ReferenceSweep out;
+  const double cap_bps = opts.link_capacity.bits_per_sec() * (1.0 + 1e-9);
+  int depth = 0;
+  double demand = 0.0;
+  std::int64_t prev = 0;
+  for (std::size_t i = 0; i < bounds.size();) {
+    const std::int64_t pos = bounds[i].pos;
+    const bool bad = opts.mode == SolverOptions::Mode::kCount
+                         ? depth > opts.max_concurrent
+                         : demand > cap_bps;
+    if (bad) out.violated += pos - prev;
+    if (depth >= 2) out.overlapped += pos - prev;
+    for (; i < bounds.size() && bounds[i].pos == pos; ++i) {
+      depth += bounds[i].count_delta;
+      demand += bounds[i].demand_delta;
+    }
+    out.peak_jobs = std::max(out.peak_jobs, depth);
+    out.peak_demand = std::max(out.peak_demand, demand);
+    prev = pos;
+  }
+  return out;
+}
+
+/// 1-4 jobs with 1-3 arcs each (some crossing the period's end, some
+/// abutting on whole milliseconds, and one in eight covering its whole
+/// period), periods off the millisecond grid now and then, whole-bps
+/// demands.
+std::vector<CommProfile> random_circle_jobs(Rng& rng) {
+  const std::int64_t periods_ms[] = {20, 30, 40, 45, 60, 90, 97};
+  const int n = static_cast<int>(rng.uniform_int(1, 4));
+  std::vector<CommProfile> jobs;
+  for (int j = 0; j < n; ++j) {
+    CommProfile p;
+    p.name = "j" + std::to_string(j);
+    p.period = Duration::millis(periods_ms[rng.uniform_int(0, 6)]);
+    if (rng.chance(0.2)) p.period += Duration::micros(rng.uniform_int(1, 900));
+    p.demand = Rate::gbps(static_cast<double>(rng.uniform_int(5, 45)));
+    if (rng.chance(0.125)) {
+      p.arcs = {Arc{Duration::micros(rng.uniform_int(0, 5000)), p.period}};
+    } else {
+      const int arcs = static_cast<int>(rng.uniform_int(1, 3));
+      const std::int64_t budget = p.period.ns() / (2 * arcs);
+      for (int a = 0; a < arcs; ++a) {
+        const bool on_grid = rng.chance(0.5);
+        const std::int64_t period_ms = p.period.ns() / 1'000'000;
+        const Duration start =
+            on_grid ? Duration::millis(rng.uniform_int(0, period_ms - 1))
+                    : Duration::nanos(rng.uniform_int(0, p.period.ns() - 1));
+        const Duration length =
+            on_grid ? Duration::millis(std::max<std::int64_t>(
+                          1, rng.uniform_int(1, budget / 1'000'000)))
+                    : Duration::nanos(rng.uniform_int(1, budget));
+        p.arcs.push_back(Arc{start, length});
+      }
+    }
+    jobs.push_back(std::move(p));
+  }
+  return jobs;
+}
+
+Duration random_rotation(Rng& rng, Duration perimeter) {
+  switch (rng.uniform_int(0, 4)) {
+    case 0:
+      return Duration::zero();
+    case 1:
+      return -Duration::nanos(rng.uniform_int(1, 3 * perimeter.ns()));
+    case 2:
+      return perimeter * rng.uniform_int(1, 3);  // whole turns
+    case 3:
+      return Duration::nanos(rng.uniform_int(perimeter.ns(),
+                                             4 * perimeter.ns()));
+    default:
+      return Duration::millis(rng.uniform_int(0, perimeter.ns() / 1'000'000));
+  }
+}
+
+class CircleShiftAndSweep : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CircleShiftAndSweep, MatchesInsertionAndSortedSweep) {
+  Rng rng(GetParam());
+  for (int instance = 0; instance < 20; ++instance) {
+    const std::vector<CommProfile> jobs = random_circle_jobs(rng);
+    // The cap clamps about a third of the circles, and any other whose
+    // LCM passes 3 s.
+    UnifiedCircleOptions copts;
+    copts.perimeter_cap = rng.chance(0.35)
+                              ? Duration::millis(rng.uniform_int(50, 400))
+                              : Duration::seconds(3);
+    const UnifiedCircle circle(jobs, copts);
+    const Duration L = circle.perimeter();
+    for (int trial = 0; trial < 8; ++trial) {
+      std::vector<Duration> rot;
+      for (std::size_t j = 0; j < jobs.size(); ++j) {
+        rot.push_back(random_rotation(rng, L));
+        EXPECT_EQ(segments_of(circle.job_arcs(j, rot[j])),
+                  reference_arcs(circle, j, rot[j], copts.quantum))
+            << "job " << j << " rotation " << rot[j].ns() << " on "
+            << L.ns() << (circle.exact() ? "" : " (clamped)");
+      }
+      SolverOptions count;
+      count.max_concurrent = static_cast<int>(rng.uniform_int(1, 2));
+      SolverOptions bw;
+      bw.mode = SolverOptions::Mode::kBandwidth;
+      bw.link_capacity =
+          Rate::gbps(static_cast<double>(rng.uniform_int(30, 60)));
+      const ReferenceSweep ref = reference_sweep(circle, rot, copts.quantum,
+                                                 count);
+      const double perimeter = static_cast<double>(L.ns());
+      EXPECT_EQ(circle.overlap_fraction(rot),
+                static_cast<double>(ref.overlapped) / perimeter);
+      EXPECT_EQ(circle.max_concurrency(rot), ref.peak_jobs);
+      EXPECT_EQ(circle.peak_demand(rot).bits_per_sec(), ref.peak_demand);
+      EXPECT_EQ(circle_violation_fraction(circle, rot, count),
+                static_cast<double>(ref.violated) / perimeter);
+      const ReferenceSweep ref_bw = reference_sweep(circle, rot,
+                                                    copts.quantum, bw);
+      EXPECT_EQ(circle_violation_fraction(circle, rot, bw),
+                static_cast<double>(ref_bw.violated) / perimeter);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomCircles, CircleShiftAndSweep,
+                         ::testing::Range<std::uint64_t>(1, 41));
 
 }  // namespace
 }  // namespace ccml
