@@ -1,6 +1,8 @@
 #include "obs/sinks.h"
 
-#include <cstdio>
+#include <charconv>
+#include <cstdint>
+#include <stdexcept>
 #include <string_view>
 
 namespace ccml {
@@ -28,6 +30,65 @@ std::string escape_json(const std::string& s) {
   }
   return out;
 }
+
+/// printf "%.<precision>f" of `value`.
+struct Fixed {
+  double value;
+  int precision;
+};
+
+/// printf "%.<precision>g" of `value`.
+struct General {
+  double value;
+  int precision;
+};
+
+/// Builds one serialized record in a reused string.  std::to_chars with an
+/// explicit format and precision is specified to write exactly what printf
+/// writes for "%.<p>f" / "%.<p>g" in the "C" locale, and integer to_chars
+/// what "%d" writes, so the records are byte-identical to the snprintf
+/// formats the trace formats were defined by — without parsing a format
+/// string or consulting the locale per field.  The string grows as needed:
+/// no field (a long job name, a `detail` tag) is ever truncated.
+class Line {
+ public:
+  explicit Line(std::string& out) : out_(out) { out_.clear(); }
+
+  void clear() { out_.clear(); }
+
+  Line& operator<<(std::string_view s) {
+    out_.append(s);
+    return *this;
+  }
+  Line& operator<<(char c) {
+    out_.push_back(c);
+    return *this;
+  }
+  Line& operator<<(std::int32_t v) { return put(v); }
+  Line& operator<<(std::int64_t v) { return put(v); }
+  Line& operator<<(Fixed f) {
+    return put(f.value, std::chars_format::fixed, f.precision);
+  }
+  Line& operator<<(General g) {
+    return put(g.value, std::chars_format::general, g.precision);
+  }
+
+ private:
+  template <class... Args>
+  Line& put(Args... args) {
+    // Room for the longest number written here: a fixed-format DBL_MAX has
+    // a sign, 309 integer digits, a point and `precision` decimals.
+    char buf[512];
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), args...);
+    if (ec != std::errc{}) {
+      throw std::length_error("trace sink: number too long to serialize");
+    }
+    out_.append(buf, end);
+    return *this;
+  }
+
+  std::string& out_;
+};
 
 }  // namespace
 
@@ -61,32 +122,65 @@ JsonlSink::JsonlSink(std::ostream& out, JsonlSinkOptions opts)
     : out_(out), opts_(opts) {}
 
 void JsonlSink::on_event(const TraceEvent& ev) {
-  char buf[320];
-  int n = std::snprintf(buf, sizeof(buf), "{\"t_us\":%.3f,\"kind\":\"%s\"",
-                        ev.time.since_origin().to_micros(),
-                        to_string(ev.kind));
-  const auto add = [&](const char* fmt, auto v) {
-    n += std::snprintf(buf + n, sizeof(buf) - n, fmt, v);
-  };
-  if (ev.job.valid()) add(",\"job\":%d", ev.job.value);
-  if (ev.flow.valid()) {
-    add(",\"flow\":%lld", static_cast<long long>(ev.flow.value));
-  }
-  if (ev.link.valid()) add(",\"link\":%d", ev.link.value);
+  Line line(line_);
+  line << "{\"t_us\":" << Fixed{ev.time.since_origin().to_micros(), 3}
+       << ",\"kind\":\"" << to_string(ev.kind) << '"';
+  if (ev.job.valid()) line << ",\"job\":" << ev.job.value;
+  if (ev.flow.valid()) line << ",\"flow\":" << ev.flow.value;
+  if (ev.link.valid()) line << ",\"link\":" << ev.link.value;
   // The full contended-link set, only when it says more than "link" alone
   // (a single-bottleneck route serializes exactly as before).
   if (ev.link_count > 1) {
-    add(",\"links\":[%d", ev.links[0].value);
-    for (int i = 1; i < ev.link_count; ++i) add(",%d", ev.links[i].value);
-    n += std::snprintf(buf + n, sizeof(buf) - n, "]");
+    line << ",\"links\":[" << ev.links[0].value;
+    for (int i = 1; i < ev.link_count; ++i) line << ',' << ev.links[i].value;
+    line << ']';
   }
-  if (ev.value != 0.0) add(",\"value\":%.17g", ev.value);
-  if (ev.value2 != 0.0) add(",\"value2\":%.17g", ev.value2);
-  if (ev.detail != nullptr) add(",\"detail\":\"%s\"", ev.detail);
-  out_ << buf << "}\n";
+  if (ev.value != 0.0) line << ",\"value\":" << General{ev.value, 17};
+  if (ev.value2 != 0.0) line << ",\"value2\":" << General{ev.value2, 17};
+  if (ev.detail != nullptr) line << ",\"detail\":\"" << ev.detail << '"';
+  line << "}\n";
+  out_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
 }
 
 // --- ChromeTraceSink -------------------------------------------------------
+
+namespace {
+
+/// `{"name":"<name>","ph":"<ph>","pid":1,"tid":<tid>,"ts":<ts>}`: a phase
+/// slice edge on a job's thread.
+void phase_slice(Line& line, std::string_view name, char ph, int tid,
+                 double ts) {
+  line << "{\"name\":\"" << name << "\",\"ph\":\"" << ph
+       << "\",\"pid\":" << kSimPid << ",\"tid\":" << tid
+       << ",\"ts\":" << Fixed{ts, 3} << '}';
+}
+
+/// `{"name":"<name>","ph":"i","s":"t","pid":1,"tid":<tid>,"ts":<ts>,
+/// "args":{` — a thread-scoped instant on a job's track; the caller writes
+/// the arguments and closes both objects.
+void job_instant(Line& line, std::string_view name, int tid, double ts) {
+  line << "{\"name\":\"" << name << "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":"
+       << kSimPid << ",\"tid\":" << tid << ",\"ts\":" << Fixed{ts, 3}
+       << ",\"args\":{";
+}
+
+/// `{"name":"<name>","ph":"i","s":"g","pid":3,"tid":0,"ts":<ts>,"args":{`
+/// — a global instant in the control process.
+void control_instant(Line& line, std::string_view name, double ts) {
+  line << "{\"name\":\"" << name << "\",\"ph\":\"i\",\"s\":\"g\",\"pid\":"
+       << kCtrlPid << ",\"tid\":0,\"ts\":" << Fixed{ts, 3} << ",\"args\":{";
+}
+
+/// `{"name":"<name>","cat":"flow","ph":"<ph>","id":<flow>,"pid":1,
+/// "tid":<tid>,"ts":<ts>` — an async flow-lifecycle record, left open.
+void flow_record(Line& line, std::string_view name, char ph,
+                 std::int64_t flow, int tid, double ts) {
+  line << "{\"name\":\"" << name << "\",\"cat\":\"flow\",\"ph\":\"" << ph
+       << "\",\"id\":" << flow << ",\"pid\":" << kSimPid
+       << ",\"tid\":" << tid << ",\"ts\":" << Fixed{ts, 3};
+}
+
+}  // namespace
 
 ChromeTraceSink::ChromeTraceSink(std::ostream& out,
                                  ChromeTraceSinkOptions opts)
@@ -108,27 +202,20 @@ std::string ChromeTraceSink::series_label(const TraceEvent& ev) const {
 void ChromeTraceSink::on_event(const TraceEvent& ev) {
   const double ts = ev.time.since_origin().to_micros();
   if (ts > last_ts_) last_ts_ = ts;
-  char buf[320];
   const int tid = track_of(ev.job);
-  const auto add = [&] { events_.emplace_back(buf); };
+  Line line(line_);
   switch (ev.kind) {
     case TraceEventKind::kPhase: {
       job_tracks_.insert(tid);
       const auto open = open_phase_.find(tid);
       if (open != open_phase_.end() && open->second != nullptr) {
-        std::snprintf(buf, sizeof(buf),
-                      "{\"name\":\"%s\",\"ph\":\"E\",\"pid\":%d,\"tid\":%d,"
-                      "\"ts\":%.3f}",
-                      open->second, kSimPid, tid, ts);
-        add();
+        phase_slice(line, open->second, 'E', tid, ts);
+        events_.push_back(line_);
+        line.clear();
       }
       const char* name = ev.detail != nullptr ? ev.detail : "phase";
       if (ev.detail != nullptr && std::string_view(ev.detail) != "done") {
-        std::snprintf(buf, sizeof(buf),
-                      "{\"name\":\"%s\",\"ph\":\"B\",\"pid\":%d,\"tid\":%d,"
-                      "\"ts\":%.3f}",
-                      name, kSimPid, tid, ts);
-        add();
+        phase_slice(line, name, 'B', tid, ts);
         open_phase_[tid] = name;
       } else {
         open_phase_[tid] = nullptr;
@@ -137,123 +224,80 @@ void ChromeTraceSink::on_event(const TraceEvent& ev) {
     }
     case TraceEventKind::kIteration:
       job_tracks_.insert(tid);
-      std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"iteration\",\"ph\":\"i\",\"s\":\"t\","
-                    "\"pid\":%d,\"tid\":%d,\"ts\":%.3f,"
-                    "\"args\":{\"ms\":%.3f,\"index\":%.0f}}",
-                    kSimPid, tid, ts, ev.value, ev.value2);
-      add();
+      job_instant(line, "iteration", tid, ts);
+      line << "\"ms\":" << Fixed{ev.value, 3} << ",\"index\":"
+           << Fixed{ev.value2, 0} << "}}";
       break;
     case TraceEventKind::kGateOpen:
       job_tracks_.insert(tid);
-      std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"gate-open\",\"ph\":\"i\",\"s\":\"t\","
-                    "\"pid\":%d,\"tid\":%d,\"ts\":%.3f,"
-                    "\"args\":{\"waited_ms\":%.3f}}",
-                    kSimPid, tid, ts, ev.value);
-      add();
+      job_instant(line, "gate-open", tid, ts);
+      line << "\"waited_ms\":" << Fixed{ev.value, 3} << "}}";
       break;
     case TraceEventKind::kFlowStart:
       job_tracks_.insert(tid);
-      std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"flow\",\"cat\":\"flow\",\"ph\":\"b\","
-                    "\"id\":%lld,\"pid\":%d,\"tid\":%d,\"ts\":%.3f,"
-                    "\"args\":{\"bytes\":%.0f}}",
-                    static_cast<long long>(ev.flow.value), kSimPid, tid, ts,
-                    ev.value);
-      add();
+      flow_record(line, "flow", 'b', ev.flow.value, tid, ts);
+      line << ",\"args\":{\"bytes\":" << Fixed{ev.value, 0} << "}}";
       break;
     case TraceEventKind::kFlowFinish:
     case TraceEventKind::kFlowAbort:
-      std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"flow\",\"cat\":\"flow\",\"ph\":\"e\","
-                    "\"id\":%lld,\"pid\":%d,\"tid\":%d,\"ts\":%.3f,"
-                    "\"args\":{\"%s\":%.3f}}",
-                    static_cast<long long>(ev.flow.value), kSimPid, tid, ts,
-                    ev.kind == TraceEventKind::kFlowAbort ? "aborted"
-                                                          : "duration_ms",
-                    ev.kind == TraceEventKind::kFlowAbort ? 1.0 : ev.value2);
-      add();
+      flow_record(line, "flow", 'e', ev.flow.value, tid, ts);
+      if (ev.kind == TraceEventKind::kFlowAbort) {
+        line << ",\"args\":{\"aborted\":1.000}}";
+      } else {
+        line << ",\"args\":{\"duration_ms\":" << Fixed{ev.value2, 3} << "}}";
+      }
       break;
     case TraceEventKind::kFlowReroute:
     case TraceEventKind::kFlowPark:
     case TraceEventKind::kFlowUnpark:
-      std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"%s\",\"cat\":\"flow\",\"ph\":\"n\","
-                    "\"id\":%lld,\"pid\":%d,\"tid\":%d,\"ts\":%.3f}",
-                    to_string(ev.kind),
-                    static_cast<long long>(ev.flow.value), kSimPid, tid, ts);
-      add();
+      flow_record(line, to_string(ev.kind), 'n', ev.flow.value, tid, ts);
+      line << '}';
       break;
     case TraceEventKind::kRateDecrease:
       job_tracks_.insert(tid);
-      std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"CNP\",\"ph\":\"i\",\"s\":\"t\",\"pid\":%d,"
-                    "\"tid\":%d,\"ts\":%.3f,"
-                    "\"args\":{\"rate_gbps\":%.3f,\"alpha\":%.4f}}",
-                    kSimPid, tid, ts, ev.value * 1e-9, ev.value2);
-      add();
+      job_instant(line, "CNP", tid, ts);
+      line << "\"rate_gbps\":" << Fixed{ev.value * 1e-9, 3} << ",\"alpha\":"
+           << Fixed{ev.value2, 4} << "}}";
       break;
     case TraceEventKind::kRateTimer:
       job_tracks_.insert(tid);
-      std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"rate-timer\",\"ph\":\"i\",\"s\":\"t\","
-                    "\"pid\":%d,\"tid\":%d,\"ts\":%.3f,"
-                    "\"args\":{\"rate_gbps\":%.3f}}",
-                    kSimPid, tid, ts, ev.value * 1e-9);
-      add();
+      job_instant(line, "rate-timer", tid, ts);
+      line << "\"rate_gbps\":" << Fixed{ev.value * 1e-9, 3} << "}}";
       break;
-    case TraceEventKind::kLinkThroughput: {
-      const std::string series = series_label(ev);
-      std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"link%d %s (Gbps)\",\"ph\":\"C\",\"pid\":%d,"
-                    "\"tid\":0,\"ts\":%.3f,\"args\":{\"Gbps\":%.4f}}",
-                    ev.link.value, series.c_str(), kLinksPid, ts,
-                    ev.value * 1e-9);
-      add();
+    case TraceEventKind::kLinkThroughput:
+      line << "{\"name\":\"link" << ev.link.value << ' ' << series_label(ev)
+           << " (Gbps)\",\"ph\":\"C\",\"pid\":" << kLinksPid
+           << ",\"tid\":0,\"ts\":" << Fixed{ts, 3} << ",\"args\":{\"Gbps\":"
+           << Fixed{ev.value * 1e-9, 4} << "}}";
       break;
-    }
     case TraceEventKind::kLinkQueue:
-      std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"link%d queue (KB)\",\"ph\":\"C\",\"pid\":%d,"
-                    "\"tid\":0,\"ts\":%.3f,\"args\":{\"KB\":%.3f}}",
-                    ev.link.value, kLinksPid, ts, ev.value * 1e-3);
-      add();
+      line << "{\"name\":\"link" << ev.link.value
+           << " queue (KB)\",\"ph\":\"C\",\"pid\":" << kLinksPid
+           << ",\"tid\":0,\"ts\":" << Fixed{ts, 3} << ",\"args\":{\"KB\":"
+           << Fixed{ev.value * 1e-3, 3} << "}}";
       break;
     case TraceEventKind::kFaultApply:
     case TraceEventKind::kFaultRecover:
-      std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"g\",\"pid\":%d,"
-                    "\"tid\":0,\"ts\":%.3f,\"args\":{\"factor\":%.3f}}",
-                    ev.detail != nullptr ? ev.detail : to_string(ev.kind),
-                    kCtrlPid, ts, ev.value);
-      add();
+      control_instant(line,
+                      ev.detail != nullptr ? ev.detail : to_string(ev.kind),
+                      ts);
+      line << "\"factor\":" << Fixed{ev.value, 3} << "}}";
       break;
     case TraceEventKind::kSolve:
-      std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"solve\",\"ph\":\"i\",\"s\":\"g\",\"pid\":%d,"
-                    "\"tid\":0,\"ts\":%.3f,"
-                    "\"args\":{\"compatible\":%.0f,\"violation\":%.4f}}",
-                    kCtrlPid, ts, ev.value, ev.value2);
-      add();
+      control_instant(line, "solve", ts);
+      line << "\"compatible\":" << Fixed{ev.value, 0} << ",\"violation\":"
+           << Fixed{ev.value2, 4} << "}}";
       break;
     case TraceEventKind::kTraceDrops:
       // Self-reported observability loss (async ring overflow); global
       // instant in the control process so trace holes are visible.
-      std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"trace-drops\",\"ph\":\"i\",\"s\":\"g\","
-                    "\"pid\":%d,\"tid\":0,\"ts\":%.3f,"
-                    "\"args\":{\"dropped\":%.0f}}",
-                    kCtrlPid, ts, ev.value);
-      add();
+      control_instant(line, "trace-drops", ts);
+      line << "\"dropped\":" << Fixed{ev.value, 0} << "}}";
       break;
     case TraceEventKind::kSoloBaseline:
-      std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"solo-baseline\",\"ph\":\"i\",\"s\":\"g\","
-                    "\"pid\":%d,\"tid\":0,\"ts\":%.3f,"
-                    "\"args\":{\"job\":%d,\"solo_ms\":%.6g}}",
-                    kCtrlPid, ts, ev.job.value, ev.value);
-      add();
+      control_instant(line, "solo-baseline", ts);
+      line << "\"job\":" << ev.job.value << ",\"solo_ms\":"
+           << General{ev.value, 6} << "}}";
       break;
     case TraceEventKind::kAnomalyPhaseDrift:
     case TraceEventKind::kAnomalyQueueOscillation:
@@ -261,20 +305,14 @@ void ChromeTraceSink::on_event(const TraceEvent& ev) {
     case TraceEventKind::kAnomalyCongestionCollapse:
       // Analytics-derived anomalies: global instants in the control process
       // so degradations line up against faults and solver runs.
-      std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"g\",\"pid\":%d,"
-                    "\"tid\":0,\"ts\":%.3f,"
-                    "\"args\":{\"value\":%.6g,\"value2\":%.6g}}",
-                    to_string(ev.kind), kCtrlPid, ts, ev.value, ev.value2);
-      add();
+      control_instant(line, to_string(ev.kind), ts);
+      line << "\"value\":" << General{ev.value, 6} << ",\"value2\":"
+           << General{ev.value2, 6} << "}}";
       break;
     case TraceEventKind::kHistogramSummary:
-      std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"histogram-summary\",\"ph\":\"i\",\"s\":\"g\","
-                    "\"pid\":%d,\"tid\":0,\"ts\":%.3f,"
-                    "\"args\":{\"p99\":%.6g,\"count\":%.0f}}",
-                    kCtrlPid, ts, ev.value, ev.value2);
-      add();
+      control_instant(line, "histogram-summary", ts);
+      line << "\"p99\":" << General{ev.value, 6} << ",\"count\":"
+           << Fixed{ev.value2, 0} << "}}";
       break;
     case TraceEventKind::kJobSubmit:
     case TraceEventKind::kJobAdmit:
@@ -282,12 +320,9 @@ void ChromeTraceSink::on_event(const TraceEvent& ev) {
     case TraceEventKind::kJobDepart:
       // Orchestrator lifecycle marks live in the control process so churn is
       // visible next to faults and solver runs.
-      std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"g\",\"pid\":%d,"
-                    "\"tid\":0,\"ts\":%.3f,"
-                    "\"args\":{\"job\":%d,\"value\":%.3f}}",
-                    to_string(ev.kind), kCtrlPid, ts, ev.job.value, ev.value);
-      add();
+      control_instant(line, to_string(ev.kind), ts);
+      line << "\"job\":" << ev.job.value << ",\"value\":"
+           << Fixed{ev.value, 3} << "}}";
       break;
     case TraceEventKind::kCkptWrite:
     case TraceEventKind::kCkptBranch:
@@ -296,20 +331,18 @@ void ChromeTraceSink::on_event(const TraceEvent& ev) {
       // Not drawn on the timeline.  Listed so a new kind warns (-Wswitch).
       break;
   }
+  if (!line_.empty()) events_.push_back(line_);
 }
 
 void ChromeTraceSink::flush() {
   if (flushed_) return;
   flushed_ = true;
   // Close phase slices still open at the end of the run.
-  char buf[320];
   for (const auto& [tid, name] : open_phase_) {
     if (name == nullptr) continue;
-    std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"%s\",\"ph\":\"E\",\"pid\":%d,\"tid\":%d,"
-                  "\"ts\":%.3f}",
-                  name, kSimPid, tid, last_ts_);
-    events_.emplace_back(buf);
+    Line line(line_);
+    phase_slice(line, name, 'E', tid, last_ts_);
+    events_.push_back(line_);
   }
   out_ << "{\"traceEvents\":[\n";
   // Metadata first: process / thread display names.

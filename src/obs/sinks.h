@@ -55,7 +55,8 @@ struct JsonlSinkOptions {
   Duration sample_cadence = Duration::zero();
 };
 
-/// Newline-delimited JSON, one event per line, written as events arrive.
+/// Newline-delimited JSON, one event per line, written as events arrive
+/// (one stream write per line).
 class JsonlSink : public TraceSink {
  public:
   explicit JsonlSink(std::ostream& out, JsonlSinkOptions opts = {});
@@ -67,6 +68,7 @@ class JsonlSink : public TraceSink {
  private:
   std::ostream& out_;
   JsonlSinkOptions opts_;
+  std::string line_;  // the line being built; reused across events
 };
 
 struct ChromeTraceSinkOptions {
@@ -93,6 +95,7 @@ class ChromeTraceSink : public TraceSink {
 
   std::ostream& out_;
   ChromeTraceSinkOptions opts_;
+  std::string line_;  // the record being built; reused across events
   TraceBus* bus_ = nullptr;
   std::vector<std::string> events_;
   std::map<std::int32_t, const char*> open_phase_;  // job -> open slice name
