@@ -16,18 +16,51 @@ TraceThroughputSampler::TraceThroughputSampler(TraceBus& bus, Duration cadence,
         "TraceThroughputSampler: sample cadence must be positive");
   }
   // Seed the watch list so idle links report (zero) samples from the start.
-  for (const LinkId l : watch) links_[l.value];
+  for (const LinkId l : watch) {
+    if (!l.valid()) {
+      throw std::invalid_argument(
+          "TraceThroughputSampler: watched link id " +
+          std::to_string(l.value) + " is not a valid link");
+    }
+    window(l);
+  }
 }
+
+TraceThroughputSampler::LinkAcc& TraceThroughputSampler::window(LinkId link) {
+  const auto i = static_cast<std::size_t>(link.value);
+  if (i >= links_.size()) links_.resize(i + 1);
+  LinkAcc& a = links_[i];
+  a.sampled = true;
+  return a;
+}
+
+namespace {
+
+/// The bits accumulated for `job` in a link window, inserted in job order
+/// on first sight.
+double& job_bits(std::vector<std::pair<std::int32_t, double>>& jobs,
+                 std::int32_t job) {
+  auto it = std::lower_bound(
+      jobs.begin(), jobs.end(), job,
+      [](const std::pair<std::int32_t, double>& e, std::int32_t j) {
+        return e.first < j;
+      });
+  if (it == jobs.end() || it->first != job) it = jobs.emplace(it, job, 0.0);
+  return it->second;
+}
+
+}  // namespace
 
 void TraceThroughputSampler::on_step(const Network& net, TimePoint now) {
   const Duration dt = net.config().step;
+  const double dt_s = dt.to_seconds();
   const std::span<const double> rates = net.rates_bps();
   for (const LinkId lid : net.links_in_use()) {
-    LinkAcc& acc = links_[lid.value];
+    LinkAcc& acc = window(lid);
     for (const std::uint32_t slot : net.flow_slots_on_link(lid)) {
-      const double bits = rates[slot] * dt.to_seconds();
+      const double bits = rates[slot] * dt_s;
       acc.total_bits += bits;
-      acc.job_bits[net.flow_at(slot).spec.job.value] += bits;
+      job_bits(acc.job_bits, net.flow_at(slot).spec.job.value) += bits;
     }
   }
   accumulated_ += dt;
@@ -60,8 +93,10 @@ void TraceThroughputSampler::on_idle_gap(const Network& net, TimePoint from,
 void TraceThroughputSampler::emit_samples(const Network& net, TimePoint t,
                                           bool idle) {
   const double secs = accumulated_.to_seconds();
-  for (auto& [lv, acc] : links_) {
-    const LinkId lid{lv};
+  for (std::size_t i = 0; i < links_.size(); ++i) {
+    LinkAcc& acc = links_[i];
+    if (!acc.sampled) continue;
+    const LinkId lid{static_cast<std::int32_t>(i)};
     TraceEvent ev;
     ev.time = t;
     ev.kind = TraceEventKind::kLinkThroughput;
@@ -86,7 +121,7 @@ void TraceThroughputSampler::emit_samples(const Network& net, TimePoint t,
     bus_.emit(qe);
     if (acc.queue_gauge == nullptr) {
       acc.queue_gauge =
-          &bus_.gauge("net.link" + std::to_string(lv) + ".queue_bytes");
+          &bus_.gauge("net.link" + std::to_string(lid.value) + ".queue_bytes");
     }
     acc.queue_gauge->set(qe.value);
   }

@@ -16,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/network.h"
@@ -48,10 +49,15 @@ class TraceThroughputSampler : public NetObserver {
 
  private:
   struct LinkAcc {
+    bool sampled = false;  // in the series: watched, or ever in use
     double total_bits = 0.0;
-    std::map<std::int32_t, double> job_bits;  // JobId value -> bits
+    /// (JobId value, bits), ascending job id, so unattributed traffic (-1)
+    /// comes first.
+    std::vector<std::pair<std::int32_t, double>> job_bits;
     Gauge* queue_gauge = nullptr;
   };
+  /// The window state of `link`, marked sampled from now on.
+  LinkAcc& window(LinkId link);
   /// Emits one sample batch at `t` and resets the window.  `idle` marks a
   /// gap-synthesized batch (queues are drained by definition).
   void emit_samples(const Network& net, TimePoint t, bool idle);
@@ -60,7 +66,7 @@ class TraceThroughputSampler : public NetObserver {
   Duration cadence_;
   bool quiescence_ok_;
   Duration accumulated_ = Duration::zero();
-  std::map<std::int32_t, LinkAcc> links_;  // LinkId value -> window state
+  std::vector<LinkAcc> links_;  // indexed by LinkId value
 };
 
 /// Binds `bus` to `net`: installs the bus on the network (so net/cc/workload
