@@ -148,7 +148,8 @@ GraphResult InterferenceGraph::solve(std::span<const GraphJob> jobs,
                                 std::move(circle), SolverResult{}});
   }
 
-  const auto evaluate_link = [&](const SharedLink& sl,
+  // A link's members' rotations under the global assignment.
+  const auto link_rotations = [](const SharedLink& sl,
                                  std::span<const Duration> global) {
     std::vector<Duration> rots;
     rots.reserve(sl.jobs.size());
@@ -156,22 +157,32 @@ GraphResult InterferenceGraph::solve(std::span<const GraphJob> jobs,
       rots.push_back(
           wrap_to_circle(global[sl.jobs[k]], sl.profiles[k].period));
     }
-    return circle_violation_fraction(sl.circle, rots, options_.solver);
+    return rots;
+  };
+  const auto evaluate_link = [&](const SharedLink& sl,
+                                 std::span<const Duration> global) {
+    return circle_violation_fraction(sl.circle, link_rotations(sl, global),
+                                     options_.solver);
   };
 
   const auto finalize = [&](std::span<const Duration> global) {
     out.links.clear();
     out.worst_violation = 0.0;
     out.total_violation = 0.0;
+    out.worst_overlap = 0.0;
     for (const SharedLink& sl : shared) {
+      const std::vector<Duration> rots = link_rotations(sl, global);
       LinkVerdict v;
       v.link = sl.key;
       v.jobs = sl.jobs;
-      v.violation_fraction = evaluate_link(sl, global);
+      v.violation_fraction =
+          circle_violation_fraction(sl.circle, rots, options_.solver);
       v.locally_compatible = sl.local.compatible;
       v.circle_exact = sl.circle.exact();
       out.worst_violation = std::max(out.worst_violation, v.violation_fraction);
       out.total_violation += v.violation_fraction;
+      out.worst_overlap =
+          std::max(out.worst_overlap, sl.circle.overlap_fraction(rots));
       out.links.push_back(std::move(v));
     }
     out.compatible = out.worst_violation == 0.0;
@@ -230,6 +241,7 @@ GraphResult InterferenceGraph::solve(std::span<const GraphJob> jobs,
                            .solve(sl.profiles);
                      }();
     ++out.link_solves;
+    out.nodes_explored += sl.local.nodes_explored;
     out.circle_exact = out.circle_exact && sl.circle.exact();
     if (!sl.local.compatible && sl.local.proven) any_proven_incompatible = true;
   }
@@ -361,7 +373,8 @@ SolverResult CompatibilitySolver::solve_multi(
   out.proven = g.proven;
   out.rotations = g.rotations;
   out.violation_fraction = g.worst_violation;
-  out.overlap_fraction = g.worst_violation;
+  out.overlap_fraction = g.worst_overlap;
+  out.nodes_explored = g.nodes_explored;
   out.circle_exact = g.circle_exact;
   return out;
 }

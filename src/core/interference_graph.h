@@ -103,8 +103,10 @@ struct GraphResult {
   std::vector<RotationConflict> conflicts;
   double worst_violation = 0.0;          ///< max over shared links
   double total_violation = 0.0;          ///< sum over shared links
+  double worst_overlap = 0.0;            ///< max link overlap_fraction()
   bool circle_exact = true;              ///< no link's circle was clamped
   std::uint64_t link_solves = 0;         ///< per-link solver invocations
+  std::uint64_t nodes_explored = 0;      ///< summed over the link solves
 };
 
 class InterferenceGraph {

@@ -538,7 +538,7 @@ TEST(SolverGolden, SearchPaths) {
       {"gpu_exact_fit", 0xa0ae18538449e4d2ULL},
       {"gpu_overloaded", 0x46963e5168dce3fdULL},
       {"clamped", 0x10a2051f76f92306ULL},
-      {"multi_leaf_spine", 0x1c709bc5a9b06becULL},
+      {"multi_leaf_spine", 0xc9526a4f34486a63ULL},
   });
 }
 

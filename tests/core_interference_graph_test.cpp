@@ -35,6 +35,8 @@ void expect_rotation_consistency(const std::vector<GraphJob>& jobs,
     EXPECT_NEAR(circle_violation_fraction(circle, rots, opts.solver),
                 v.violation_fraction, 1e-12)
         << "link " << v.link;
+    EXPECT_LE(circle.overlap_fraction(rots), r.worst_overlap)
+        << "link " << v.link;
   }
 }
 
@@ -284,6 +286,42 @@ TEST(InterferenceGraph, SolveMultiEntryPoint) {
   EXPECT_TRUE(multi.proven);
   EXPECT_DOUBLE_EQ(multi.violation_fraction, 0.0);
   ASSERT_EQ(multi.rotations.size(), 3u);
+}
+
+TEST(InterferenceGraph, SolveMultiReportsSearchEffortAndOverlap) {
+  // Bandwidth mode: two 20 Gbps jobs fit a 50 Gbps link together, so both
+  // links' circles are violation-free while their members still overlap.
+  SolverOptions o;
+  o.mode = SolverOptions::Mode::kBandwidth;
+  const std::vector<CommProfile> profiles = {
+      job("a", 100, 40, 20.0), job("b", 100, 40, 20.0),
+      job("c", 100, 40, 20.0)};
+  const std::vector<std::vector<std::int32_t>> links = {{1}, {1, 2}, {2}};
+  const CompatibilitySolver solver(o);
+  const SolverResult multi = solver.solve_multi(profiles, links);
+  EXPECT_TRUE(multi.compatible);
+  EXPECT_DOUBLE_EQ(multi.violation_fraction, 0.0);
+  ASSERT_EQ(multi.rotations.size(), 3u);
+
+  // The overlap is the worst link's under the returned rotations: 60 ms of
+  // communication per 100 ms on both members of a link overlap >= 20%.
+  const std::vector<CommProfile> ab_jobs = {profiles[0], profiles[1]};
+  const std::vector<CommProfile> bc_jobs = {profiles[1], profiles[2]};
+  const std::vector<Duration> ab_rots = {multi.rotations[0],
+                                         multi.rotations[1]};
+  const std::vector<Duration> bc_rots = {multi.rotations[1],
+                                         multi.rotations[2]};
+  const double worst = std::max(
+      UnifiedCircle(ab_jobs, o.circle).overlap_fraction(ab_rots),
+      UnifiedCircle(bc_jobs, o.circle).overlap_fraction(bc_rots));
+  EXPECT_GE(worst, 0.2 - 1e-12);
+  EXPECT_DOUBLE_EQ(multi.overlap_fraction, worst);
+
+  // The search effort is the per-link solves' (each link solved alone).
+  const SolverResult ab = solver.solve(ab_jobs);
+  const SolverResult bc = solver.solve(bc_jobs);
+  EXPECT_GT(ab.nodes_explored, 0u);
+  EXPECT_EQ(multi.nodes_explored, ab.nodes_explored + bc.nodes_explored);
 }
 
 }  // namespace
