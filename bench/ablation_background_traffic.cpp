@@ -39,7 +39,7 @@ Outcome run(double background_gbps, int seconds, int priority) {
   for (int i = 0; i < 2; ++i) {
     JobSpec spec;
     spec.id = JobId{i};
-    spec.name = i == 0 ? "J1" : "J2";
+    spec.name = std::string(i == 0 ? "J1" : "J2");
     spec.profile = dlrm;
     spec.paths = {JobPath{hosts[2 * i], hosts[2 * i + 1],
                           router.pick(hosts[2 * i], hosts[2 * i + 1], 0)}};
@@ -108,7 +108,7 @@ int main(int argc, char** argv) {
     for (int i = 0; i < 2; ++i) {
       JobSpec spec;
       spec.id = JobId{i};
-      spec.name = i == 0 ? "J1" : "J2";
+      spec.name = std::string(i == 0 ? "J1" : "J2");
       spec.profile = dlrm;
       spec.priority = i;
       spec.paths = {JobPath{hosts[2 * i], hosts[2 * i + 1],

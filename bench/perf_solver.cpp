@@ -13,10 +13,9 @@ namespace {
 CommProfile job(int i, std::int64_t period_ms, double comm_fraction) {
   const auto comm =
       static_cast<std::int64_t>(static_cast<double>(period_ms) * comm_fraction);
-  return CommProfile::single_phase("j" + std::to_string(i),
-                                   Duration::millis(period_ms),
-                                   Duration::millis(period_ms - comm),
-                                   Rate::gbps(42.5));
+  return CommProfile::single_phase(
+      std::string("j").append(std::to_string(i)), Duration::millis(period_ms),
+      Duration::millis(period_ms - comm), Rate::gbps(42.5));
 }
 
 void BM_SolverCompatibleJobs(benchmark::State& state) {

@@ -22,10 +22,8 @@
 // immediately and gates them — the lowest mean overall, strictly below
 // both baselines.
 //
-// --json FILE additionally records the bench's own engine throughput
-// (simulated seconds per wall second over all runs) and a determinism
-// probe (same seed twice must give byte-identical reports); CI gates both
-// via tools/check_perf.py --section multi_bottleneck.
+// Exits non-zero unless compat-graph wins and a determinism probe (the
+// same seed twice) gives byte-identical reports.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -109,12 +107,9 @@ ClusterRunReport run_policy(const Topology& topo,
 
 int main(int argc, char** argv) {
   double seconds = 120.0;
-  std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--seconds") == 0 && i + 1 < argc) {
       seconds = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
     }
   }
 
@@ -246,34 +241,5 @@ int main(int argc, char** argv) {
   std::printf("determinism probe: repeated 4:1 compat-graph run is %s\n",
               deterministic ? "byte-identical" : "DIVERGENT");
 
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"scenario\": \"leaf-spine oversubscription sweep "
-                    "1:1 -> 4:1, 3 policies, %zu seeds, %.0f sim-s\",\n",
-                 seeds.size(), seconds);
-    std::fprintf(f, "  \"multi_bottleneck\": {\n");
-    std::fprintf(f, "    \"runs\": %d,\n", runs);
-    std::fprintf(f, "    \"sim_s\": %.0f,\n", sim_s);
-    std::fprintf(f, "    \"wall_s\": %.2f,\n", wall_s);
-    std::fprintf(f, "    \"sim_s_per_wall_s\": %.1f,\n", sim_per_wall);
-    std::fprintf(f, "    \"mean_slowdown\": {\n");
-    std::fprintf(f, "      \"locality\": %.4f,\n", sum[0] / sweep.size());
-    std::fprintf(f, "      \"compat_single\": %.4f,\n", sum[1] / sweep.size());
-    std::fprintf(f, "      \"compat_graph\": %.4f\n", sum[2] / sweep.size());
-    std::fprintf(f, "    },\n");
-    std::fprintf(f, "    \"graph_wins\": %s,\n",
-                 graph_wins ? "true" : "false");
-    std::fprintf(f, "    \"deterministic\": %s\n",
-                 deterministic ? "true" : "false");
-    std::fprintf(f, "  }\n");
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
   return graph_wins && deterministic ? 0 : 1;
 }

@@ -15,12 +15,10 @@
 // whose unfairness knobs reproduce the paper's compatible/incompatible
 // split interleaves job phases the way the geometric model predicts.
 //
-// --json FILE records the bench's engine throughput, a byte-determinism
-// probe (the most knob-sensitive configuration run twice must fingerprint
-// identically), a catalogue completeness check (every registered transport
-// name must round-trip through parse_policy_kind), and the per-family
-// stats above; CI gates the flags and the throughput floor via
-// tools/check_perf.py --section transport_zoo.
+// Exits non-zero unless a byte-determinism probe (the most knob-sensitive
+// configuration run twice must fingerprint identically) and a catalogue
+// completeness check (every registered transport name must round-trip
+// through parse_policy_kind) both hold.
 #include <cstdio>
 #include <cstring>
 #include <chrono>
@@ -115,12 +113,9 @@ struct FamilyStats {
 
 int main(int argc, char** argv) {
   double seconds = 15.0;
-  std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--seconds") == 0 && i + 1 < argc) {
       seconds = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
     }
   }
   const Duration duration = Duration::from_seconds_f(seconds);
@@ -223,47 +218,5 @@ int main(int argc, char** argv) {
   std::printf("catalogue: %zu transports registered, round-trip %s\n",
               catalogued, catalogue_complete ? "complete" : "BROKEN");
 
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"scenario\": \"Table-1 catalogue x %zu transport "
-                    "families, fair vs unfair, %.0f sim-s\",\n",
-                 kFamilies.size(), seconds);
-    std::fprintf(f, "  \"transport_zoo\": {\n");
-    std::fprintf(f, "    \"runs\": %d,\n", runs);
-    std::fprintf(f, "    \"sim_s\": %.0f,\n", sim_s);
-    std::fprintf(f, "    \"wall_s\": %.2f,\n", wall_s);
-    std::fprintf(f, "    \"sim_s_per_wall_s\": %.1f,\n", sim_per_wall);
-    std::fprintf(f, "    \"deterministic\": %s,\n",
-                 deterministic ? "true" : "false");
-    std::fprintf(f, "    \"catalogue_complete\": %s,\n",
-                 catalogue_complete ? "true" : "false");
-    std::fprintf(f, "    \"registered_transports\": %zu,\n", catalogued);
-    std::fprintf(f, "    \"families\": {\n");
-    for (std::size_t i = 0; i < stats.size(); ++i) {
-      const FamilyStats& fs = stats[i];
-      std::string key = fs.name;
-      for (char& c : key) {
-        if (c == '-') c = '_';
-      }
-      std::fprintf(f,
-                   "      \"%s\": {\"mean_fair_ms\": %.2f, "
-                   "\"mean_unfair_ms\": %.2f, \"mean_speedup\": %.4f, "
-                   "\"verdict_agreement\": %.2f}%s\n",
-                   key.c_str(), fs.mean_fair_ms, fs.mean_unfair_ms,
-                   fs.mean_speedup,
-                   static_cast<double>(fs.verdict_matches) / kGroups.size(),
-                   i + 1 < stats.size() ? "," : "");
-    }
-    std::fprintf(f, "    }\n");
-    std::fprintf(f, "  }\n");
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
   return deterministic && catalogue_complete ? 0 : 1;
 }

@@ -1,8 +1,27 @@
 #include "net/topology.h"
 
 #include <cassert>
+#include <initializer_list>
+#include <utility>
 
 namespace ccml {
+
+namespace {
+
+// A node name: each part's prefix followed by its index.  Built by
+// appending, since GCC 12 at -O3 reports a false -Wrestrict on
+// `"literal" + std::string&&`.
+std::string node_name(
+    std::initializer_list<std::pair<const char*, int>> parts) {
+  std::string name;
+  for (const auto& [prefix, index] : parts) {
+    name += prefix;
+    name += std::to_string(index);
+  }
+  return name;
+}
+
+}  // namespace
 
 const char* to_string(NodeKind kind) {
   switch (kind) {
@@ -79,8 +98,8 @@ Topology Topology::dumbbell(int n_pairs, Rate host_rate, Rate bottleneck_rate) {
   const NodeId s_right = t.add_node(NodeKind::kTor, "swR");
   t.add_duplex_link(s_left, s_right, bottleneck_rate);
   for (int i = 0; i < n_pairs; ++i) {
-    const NodeId src = t.add_node(NodeKind::kHost, "src" + std::to_string(i));
-    const NodeId dst = t.add_node(NodeKind::kHost, "dst" + std::to_string(i));
+    const NodeId src = t.add_node(NodeKind::kHost, node_name({{"src", i}}));
+    const NodeId dst = t.add_node(NodeKind::kHost, node_name({{"dst", i}}));
     t.add_duplex_link(src, s_left, host_rate);
     t.add_duplex_link(s_right, dst, host_rate);
   }
@@ -94,17 +113,17 @@ Topology Topology::leaf_spine(int n_tors, int hosts_per_tor, int n_spines,
   std::vector<NodeId> tors;
   tors.reserve(n_tors);
   for (int i = 0; i < n_tors; ++i) {
-    tors.push_back(t.add_node(NodeKind::kTor, "tor" + std::to_string(i)));
+    tors.push_back(t.add_node(NodeKind::kTor, node_name({{"tor", i}})));
   }
   std::vector<NodeId> spines;
   spines.reserve(n_spines);
   for (int i = 0; i < n_spines; ++i) {
-    spines.push_back(t.add_node(NodeKind::kSpine, "spine" + std::to_string(i)));
+    spines.push_back(t.add_node(NodeKind::kSpine, node_name({{"spine", i}})));
   }
   for (int i = 0; i < n_tors; ++i) {
     for (int h = 0; h < hosts_per_tor; ++h) {
-      const NodeId host = t.add_node(
-          NodeKind::kHost, "h" + std::to_string(i) + "_" + std::to_string(h));
+      const NodeId host =
+          t.add_node(NodeKind::kHost, node_name({{"h", i}, {"_", h}}));
       t.add_duplex_link(host, tors[i], host_rate);
     }
     for (const NodeId spine : spines) {
@@ -124,30 +143,26 @@ Topology Topology::fat_tree(int k, Rate rate) {
   core.reserve(half * half);
   for (int i = 0; i < half; ++i) {
     for (int j = 0; j < half; ++j) {
-      core.push_back(t.add_node(
-          NodeKind::kCore,
-          "core" + std::to_string(i) + "_" + std::to_string(j)));
+      core.push_back(
+          t.add_node(NodeKind::kCore, node_name({{"core", i}, {"_", j}})));
     }
   }
 
   for (int pod = 0; pod < k; ++pod) {
     std::vector<NodeId> edges, aggs;
     for (int e = 0; e < half; ++e) {
-      edges.push_back(t.add_node(
-          NodeKind::kTor,
-          "p" + std::to_string(pod) + "_edge" + std::to_string(e)));
+      edges.push_back(
+          t.add_node(NodeKind::kTor, node_name({{"p", pod}, {"_edge", e}})));
     }
     for (int a = 0; a < half; ++a) {
-      aggs.push_back(t.add_node(
-          NodeKind::kSpine,
-          "p" + std::to_string(pod) + "_agg" + std::to_string(a)));
+      aggs.push_back(
+          t.add_node(NodeKind::kSpine, node_name({{"p", pod}, {"_agg", a}})));
     }
     // Hosts under each edge switch.
     for (int e = 0; e < half; ++e) {
       for (int h = 0; h < half; ++h) {
         const NodeId host = t.add_node(
-            NodeKind::kHost, "p" + std::to_string(pod) + "_e" +
-                                 std::to_string(e) + "_h" + std::to_string(h));
+            NodeKind::kHost, node_name({{"p", pod}, {"_e", e}, {"_h", h}}));
         t.add_duplex_link(host, edges[e], rate);
       }
     }

@@ -20,7 +20,8 @@
 //
 // Cost when unobserved: producers guard emission on Network::trace_bus()
 // being non-null, so an un-instrumented run does no observability work at
-// all (verified by bench/perf_engine; numbers in docs/observability.md).
+// all (simbench's untraced dumbbell-zoo workload, gated by tools/ab_gate.py,
+// covers it; numbers in docs/observability.md).
 #pragma once
 
 #include <atomic>

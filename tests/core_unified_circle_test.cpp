@@ -151,7 +151,8 @@ TEST(UnifiedCircle, ManyCoprimePeriodsSaturateToCap) {
   const std::int64_t primes[] = {11, 13, 17, 19, 23, 29, 31, 37, 41};
   std::vector<CommProfile> jobs;
   for (const std::int64_t p : primes) {
-    jobs.push_back(job(("p" + std::to_string(p)).c_str(), p, p / 2));
+    jobs.push_back(
+        job(std::string("p").append(std::to_string(p)).c_str(), p, p / 2));
   }
   UnifiedCircleOptions opts;
   opts.perimeter_cap = Duration::seconds(30);

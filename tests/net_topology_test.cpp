@@ -133,5 +133,22 @@ TEST(Topology, LinkNamesAreReadable) {
   EXPECT_EQ(t.link(l).name, "alice->bob");
 }
 
+// Node names reach traces, reports and snapshots, so the generators must
+// keep them byte for byte.
+TEST(Topology, GeneratedNodeNames) {
+  const auto names = [](const Topology& t) {
+    std::string out;
+    for (const NodeInfo& n : t.nodes()) out += n.name + " ";
+    return out;
+  };
+  EXPECT_EQ(names(Topology::dumbbell(2, Rate::gbps(50), Rate::gbps(50))),
+            "swL swR src0 dst0 src1 dst1 ");
+  EXPECT_EQ(names(Topology::leaf_spine(2, 2, 2, Rate::gbps(50),
+                                       Rate::gbps(100))),
+            "tor0 tor1 spine0 spine1 h0_0 h0_1 h1_0 h1_1 ");
+  EXPECT_EQ(names(Topology::fat_tree(2, Rate::gbps(50))),
+            "core0_0 p0_edge0 p0_agg0 p0_e0_h0 p1_edge0 p1_agg0 p1_e0_h0 ");
+}
+
 }  // namespace
 }  // namespace ccml

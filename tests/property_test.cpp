@@ -46,8 +46,8 @@ TEST_P(SolverSoundness, CompatibleVerdictsHaveZeroOverlap) {
   for (int j = 0; j < n; ++j) {
     const std::int64_t p = periods[rng.uniform_int(0, 4)];
     const std::int64_t comm = rng.uniform_int(1, p / 2);
-    jobs.push_back(job("j" + std::to_string(j), Duration::millis(p),
-                       Duration::millis(p - comm)));
+    jobs.push_back(job(std::string("j").append(std::to_string(j)),
+                       Duration::millis(p), Duration::millis(p - comm)));
   }
   SolverOptions opts;
   opts.anneal_iterations = 2000;
@@ -426,7 +426,7 @@ std::vector<CommProfile> random_circle_jobs(Rng& rng) {
   std::vector<CommProfile> jobs;
   for (int j = 0; j < n; ++j) {
     CommProfile p;
-    p.name = "j" + std::to_string(j);
+    p.name = std::string("j").append(std::to_string(j));
     p.period = Duration::millis(periods_ms[rng.uniform_int(0, 6)]);
     if (rng.chance(0.2)) p.period += Duration::micros(rng.uniform_int(1, 900));
     p.demand = Rate::gbps(static_cast<double>(rng.uniform_int(5, 45)));
