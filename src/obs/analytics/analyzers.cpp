@@ -215,7 +215,7 @@ void InterleavingAnalyzer::on_event(const TraceEvent& ev,
     }
     case TraceEventKind::kFlowStart: {
       if (!ev.link.valid() || !ev.job.valid()) break;
-      FlowState& fs = flows_[ev.flow.value];
+      FlowOccupancy& fs = flows_[ev.flow.value];
       fs.nlinks = static_cast<std::uint8_t>(contended_links(ev, fs.links));
       fs.job = ev.job.value;
       fs.active = true;
@@ -229,7 +229,7 @@ void InterleavingAnalyzer::on_event(const TraceEvent& ev,
       const auto it = flows_.find(ev.flow.value);
       if (it == flows_.end()) break;
       if (it->second.active) {
-        const FlowState& fs = it->second;
+        const FlowOccupancy& fs = it->second;
         for (int i = 0; i < fs.nlinks; ++i) {
           link_flow_delta(fs.links[i], fs.job, -1, ev.time);
         }
@@ -240,7 +240,7 @@ void InterleavingAnalyzer::on_event(const TraceEvent& ev,
     case TraceEventKind::kFlowPark: {
       const auto it = flows_.find(ev.flow.value);
       if (it == flows_.end() || !it->second.active) break;
-      FlowState& fs = it->second;
+      FlowOccupancy& fs = it->second;
       for (int i = 0; i < fs.nlinks; ++i) {
         link_flow_delta(fs.links[i], fs.job, -1, ev.time);
       }
@@ -250,7 +250,7 @@ void InterleavingAnalyzer::on_event(const TraceEvent& ev,
     case TraceEventKind::kFlowUnpark: {
       const auto it = flows_.find(ev.flow.value);
       if (it == flows_.end() || it->second.active || !ev.link.valid()) break;
-      FlowState& fs = it->second;
+      FlowOccupancy& fs = it->second;
       // The healed (possibly rerouted) route's contended set.
       fs.nlinks = static_cast<std::uint8_t>(contended_links(ev, fs.links));
       fs.active = true;
@@ -262,7 +262,7 @@ void InterleavingAnalyzer::on_event(const TraceEvent& ev,
     case TraceEventKind::kFlowReroute: {
       const auto it = flows_.find(ev.flow.value);
       if (it == flows_.end() || !ev.link.valid()) break;
-      FlowState& fs = it->second;
+      FlowOccupancy& fs = it->second;
       std::int32_t next[kTraceMaxContendedLinks] = {};
       const int nnext = contended_links(ev, next);
       const bool same =

@@ -137,7 +137,7 @@ class InterleavingAnalyzer {
   std::uint64_t drift_events() const { return drift_events_; }
 
  private:
-  struct FlowState {
+  struct FlowOccupancy {
     /// Contended-link set the flow is charged to: the event's `links` array
     /// when present, else the single primary `link` — so multi-bottleneck
     /// traces attribute a flow to EVERY tied link, while legacy traces
@@ -173,7 +173,7 @@ class InterleavingAnalyzer {
   std::uint64_t drift_events_ = 0;
 
   // Per-bottleneck-link occupancy from flow events.
-  std::map<std::int64_t, FlowState> flows_;
+  std::map<std::int64_t, FlowOccupancy> flows_;
   std::map<std::int32_t, LinkState> links_;
 };
 

@@ -125,7 +125,7 @@ TEST(Dcqcn, RpStateReportsSaneValues) {
   EXPECT_LE(rp.alpha, 1.0);
 }
 
-TEST(Dcqcn, FlowStateCleanedUpOnFinish) {
+TEST(Dcqcn, FlowSlotReleasedOnFinish) {
   Fixture f;
   bool done = false;
   FlowSpec fs;

@@ -1,212 +1,54 @@
-// SoA/scalar kernel parity: the slab kernels (rp_pass_soa, TIMELY's SoA
-// pass) must be bit-identical to the reference per-flow rate machines kept
-// behind DcqcnConfig/TimelyConfig::reference_kernel — every floating-point
-// operation in the same order on the same values.  These tests run the two
-// paths interleaved (A, B, A, B over multiple rounds) and assert exact
-// equality of per-tick flow rates, completion times, and serialized trace
-// streams; any reordering of the arithmetic shows up as a bit difference
-// here long before it shows up as a wrong experiment.
-//
-// The ideal allocators (max-min, WFQ, strict priority) have no reference
-// kernel; their fused bursts are checked against per-tick stepping on
-// random leaf-spine instances instead.
+// Fused burst stepping against per-tick stepping: a run with no per-tick
+// observer lets Network::step_burst fuse completion-free ticks, and must
+// still produce exactly the completion times and trace bytes of a run that
+// steps tick by tick.  DCQCN, TIMELY and Swift are checked on the shared dumbbell
+// contest (tests/cc_contest.h); the ideal allocators (max-min, WFQ, strict
+// priority) on random leaf-spine instances with brownouts and outages.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "cc/dcqcn.h"
 #include "cc/max_min_fair.h"
 #include "cc/priority.h"
-#include "cc/timely.h"
 #include "cc/wfq.h"
+#include "cc_contest.h"
 #include "net/network.h"
 #include "net/routing.h"
-#include "obs/sinks.h"
-#include "obs/trace_bus.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 
 namespace ccml {
 namespace {
 
-/// Samples every active flow's exact rate bits after each executed step.
-class RateRecorder : public NetObserver {
- public:
-  void on_step(const Network& net, TimePoint) override {
-    for (const std::uint32_t slot : net.active_slots()) {
-      samples_.push_back(net.rates_bps()[slot]);
-    }
+/// Runs the contest with and without the per-tick observer: without one the
+/// kernel fuses completion-free tick runs (Network::step_burst), and trace
+/// bytes and completion times must still be exactly those of per-tick
+/// stepping.
+void expect_fused_matches_per_tick(PolicyKind kind) {
+  Contest fused;
+  fused.observe = false;
+  const ContestResult burst = run_contest(kind, {}, fused);
+  const ContestResult ticked = run_contest(kind);
+  ASSERT_FALSE(burst.trace.empty());
+  ASSERT_EQ(burst.finish_ms.size(), ticked.finish_ms.size());
+  for (std::size_t i = 0; i < burst.finish_ms.size(); ++i) {
+    EXPECT_EQ(burst.finish_ms[i], ticked.finish_ms[i]) << "completion " << i;
   }
-  bool quiescence_compatible() const override { return true; }
-  const std::vector<double>& samples() const { return samples_; }
-
- private:
-  std::vector<double> samples_;
-};
-
-struct RunResult {
-  std::vector<double> rates;       // per-tick per-flow exact rate doubles
-  std::vector<double> finish_ms;   // completion times, exact
-  std::string trace;               // JSONL bytes
-};
-
-/// One asymmetric-DCQCN (or TIMELY) contest on a dumbbell: two flows with
-/// different aggressiveness repeatedly crossing the bottleneck.  `observe`
-/// attaches the per-tick rate recorder (which disables fused stepping), so
-/// running each kernel with and without it also covers the fused burst path
-/// against per-tick stepping.
-template <typename MakePolicy>
-RunResult run_contest(MakePolicy make_policy, bool observe) {
-  const Topology topo = Topology::dumbbell(2, Rate::gbps(50), Rate::gbps(50));
-  const Router router(topo);
-  Simulator sim;
-  NetworkConfig cfg;
-  cfg.step = Duration::micros(20);
-  Network net(topo, make_policy(), cfg);
-  net.attach(sim);
-
-  RunResult result;
-  std::ostringstream trace_out;
-  TraceBus bus;
-  JsonlSink sink(trace_out);
-  bus.add_sink(sink);
-  net.set_trace_bus(&bus);
-
-  RateRecorder recorder;
-  if (observe) net.add_observer(recorder);
-
-  const auto hosts = topo.hosts();
-  const auto start = [&](int pair, Duration timer, Rate rai) {
-    FlowSpec fs;
-    fs.src = hosts[pair * 2];
-    fs.dst = hosts[pair * 2 + 1];
-    fs.route = router.pick(fs.src, fs.dst, 0);
-    fs.size = Bytes::mega(8);
-    fs.cc_timer = timer;
-    fs.cc_rai = rai;
-    net.start_flow(std::move(fs), [&result](const Flow&, TimePoint t) {
-      result.finish_ms.push_back(t.since_origin().to_millis());
-    });
-  };
-  // Aggressive vs meek sender (the paper's Figure 1 shape), restarted a few
-  // times so flow finish/start edges and queue drain stretches are covered.
-  for (int round = 0; round < 3; ++round) {
-    start(0, Duration::micros(55), Rate::mbps(80));
-    start(1, Duration::micros(300), Rate::mbps(40));
-    sim.run_for(Duration::millis(8));
-  }
-  sim.run_for(Duration::millis(30));  // let the contest finish
-
-  bus.flush();
-  result.rates = observe ? recorder.samples() : std::vector<double>{};
-  result.trace = trace_out.str();
-  return result;
-}
-
-void expect_bit_identical(const RunResult& a, const RunResult& b) {
-  ASSERT_EQ(a.rates.size(), b.rates.size());
-  if (!a.rates.empty()) {
-    // memcmp: bit-level equality, catches -0.0 vs 0.0 and NaN payloads that
-    // operator== would wave through.
-    EXPECT_EQ(std::memcmp(a.rates.data(), b.rates.data(),
-                          a.rates.size() * sizeof(double)),
-              0);
-  }
-  ASSERT_EQ(a.finish_ms.size(), b.finish_ms.size());
-  for (std::size_t i = 0; i < a.finish_ms.size(); ++i) {
-    EXPECT_EQ(a.finish_ms[i], b.finish_ms[i]) << "completion " << i;
-  }
-  EXPECT_EQ(a.trace, b.trace);
-}
-
-DcqcnConfig dcqcn_config(bool reference) {
-  DcqcnConfig cfg;
-  cfg.reference_kernel = reference;
-  return cfg;
-}
-
-TEST(KernelParity, DcqcnSoaMatchesReferencePerTick) {
-  const auto make_ref = [] {
-    return std::make_unique<DcqcnPolicy>(dcqcn_config(true));
-  };
-  const auto make_soa = [] {
-    return std::make_unique<DcqcnPolicy>(dcqcn_config(false));
-  };
-  // Interleaved A/B: fresh alternating runs across rounds, so neither path
-  // can leak state into the other and both see identical alloc patterns.
-  for (int round = 0; round < 2; ++round) {
-    const RunResult ref = run_contest(make_ref, /*observe=*/true);
-    const RunResult soa = run_contest(make_soa, /*observe=*/true);
-    ASSERT_FALSE(ref.rates.empty());
-    ASSERT_FALSE(ref.finish_ms.empty());
-    expect_bit_identical(ref, soa);
-  }
+  EXPECT_EQ(burst.trace, ticked.trace);
 }
 
 TEST(KernelParity, DcqcnFusedBurstMatchesPerTickStepping) {
-  // Without an observer the kernel fuses completion-free tick runs
-  // (Network::step_burst); trace bytes and completion times must still be
-  // exactly those of per-tick stepping, for both kernels.
-  for (const bool reference : {false, true}) {
-    const auto make = [&] {
-      return std::make_unique<DcqcnPolicy>(dcqcn_config(reference));
-    };
-    const RunResult fused = run_contest(make, /*observe=*/false);
-    const RunResult ticked = run_contest(make, /*observe=*/true);
-    ASSERT_FALSE(fused.trace.empty());
-    ASSERT_EQ(fused.finish_ms.size(), ticked.finish_ms.size());
-    for (std::size_t i = 0; i < fused.finish_ms.size(); ++i) {
-      EXPECT_EQ(fused.finish_ms[i], ticked.finish_ms[i]);
-    }
-    EXPECT_EQ(fused.trace, ticked.trace);
-  }
-}
-
-TEST(KernelParity, DcqcnAdaptiveRaiSoaMatchesReference) {
-  // adaptive_rai feeds flow progress into the increase step — the one code
-  // path where the kernels read Network::progress_at — so it gets its own
-  // parity run.
-  const auto make = [](bool reference) {
-    DcqcnConfig cfg;
-    cfg.reference_kernel = reference;
-    cfg.adaptive_rai = true;
-    return std::make_unique<DcqcnPolicy>(cfg);
-  };
-  const RunResult ref = run_contest([&] { return make(true); }, true);
-  const RunResult soa = run_contest([&] { return make(false); }, true);
-  ASSERT_FALSE(ref.rates.empty());
-  expect_bit_identical(ref, soa);
-}
-
-TEST(KernelParity, TimelySoaMatchesReference) {
-  const auto make = [](bool reference) {
-    TimelyConfig cfg;
-    cfg.reference_kernel = reference;
-    return std::make_unique<TimelyPolicy>(cfg);
-  };
-  for (int round = 0; round < 2; ++round) {
-    const RunResult ref = run_contest([&] { return make(true); }, true);
-    const RunResult soa = run_contest([&] { return make(false); }, true);
-    ASSERT_FALSE(ref.rates.empty());
-    ASSERT_FALSE(ref.finish_ms.empty());
-    expect_bit_identical(ref, soa);
-  }
+  expect_fused_matches_per_tick(PolicyKind::kDcqcn);
 }
 
 TEST(KernelParity, TimelyFusedBurstMatchesPerTickStepping) {
-  const auto make = [] { return std::make_unique<TimelyPolicy>(); };
-  const RunResult fused = run_contest(make, /*observe=*/false);
-  const RunResult ticked = run_contest(make, /*observe=*/true);
-  ASSERT_FALSE(fused.trace.empty());
-  ASSERT_EQ(fused.finish_ms.size(), ticked.finish_ms.size());
-  for (std::size_t i = 0; i < fused.finish_ms.size(); ++i) {
-    EXPECT_EQ(fused.finish_ms[i], ticked.finish_ms[i]);
-  }
-  EXPECT_EQ(fused.trace, ticked.trace);
+  expect_fused_matches_per_tick(PolicyKind::kTimely);
+}
+
+TEST(KernelParity, SwiftFusedBurstMatchesPerTickStepping) {
+  expect_fused_matches_per_tick(PolicyKind::kSwift);
 }
 
 // --- Ideal allocators: fused bursts vs per-tick stepping ------------------
