@@ -39,11 +39,12 @@ double parse_num(const std::string& tok, int line, const char* what) {
 std::int32_t parse_selector(const std::string& tok, int line) {
   if (tok == "*") return -1;
   const double v = parse_num(tok, line, "bin selector");
-  const auto i = static_cast<std::int32_t>(v);
-  if (static_cast<double>(i) != v || i < 0) {
+  // Range-checked before the cast: converting an out-of-range double (or
+  // NaN) to int32 is undefined.
+  if (!(v >= 0.0 && v <= 2147483647.0) || v != std::trunc(v)) {
     parse_fail(line, "bin selector '" + tok + "' is not a non-negative int");
   }
-  return i;
+  return static_cast<std::int32_t>(v);
 }
 
 // Out of line so the per-flow loop stays tight when tracing is off.

@@ -33,8 +33,10 @@ void StateBuf::put_bytes(const std::string& s) {
   bytes_.append(s);
 }
 
-void StateBuf::need(std::size_t n) const {
-  if (cursor_ + n > bytes_.size()) {
+void StateBuf::need(std::uint64_t n) const {
+  // Compared against what is left, so a length field near 2^64 cannot
+  // wrap the sum past the check.
+  if (n > bytes_.size() - cursor_) {
     throw SnapshotError("snapshot payload truncated: wanted " +
                         std::to_string(n) + " bytes at offset " +
                         std::to_string(cursor_) + " of " +
@@ -73,8 +75,9 @@ std::uint64_t StateBuf::get_u64() {
 
 double StateBuf::get_f64() { return std::bit_cast<double>(get_u64()); }
 
-std::string StateBuf::get_bytes() {
-  const std::uint64_t n = get_u64();
+std::string StateBuf::get_bytes() { return get_raw(get_u64()); }
+
+std::string StateBuf::get_raw(std::uint64_t n) {
   need(n);
   std::string out = bytes_.substr(cursor_, n);
   cursor_ += n;
@@ -142,19 +145,12 @@ Snapshot Snapshot::parse(const std::string& bytes) {
   const std::uint32_t count = in.get_u32();
   Snapshot snap;
   for (std::uint32_t s = 0; s < count; ++s) {
-    const std::uint32_t name_len = in.get_u32();
-    std::string name;
-    name.reserve(name_len);
-    for (std::uint32_t i = 0; i < name_len; ++i) {
-      name.push_back(static_cast<char>(in.get_u8()));
-    }
+    // Lengths are checked against the bytes left before anything is
+    // allocated, so a corrupt length is a SnapshotError, not a bad_alloc.
+    const std::string name = in.get_raw(in.get_u32());
     const std::uint64_t payload_len = in.get_u64();
     const std::uint32_t stored_crc = in.get_u32();
-    std::string payload;
-    payload.reserve(payload_len);
-    for (std::uint64_t i = 0; i < payload_len; ++i) {
-      payload.push_back(static_cast<char>(in.get_u8()));
-    }
+    std::string payload = in.get_raw(payload_len);
     const std::uint32_t actual = crc32(payload.data(), payload.size());
     if (actual != stored_crc) {
       char buf[96];

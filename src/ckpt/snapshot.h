@@ -72,13 +72,15 @@ class StateBuf {
   std::int64_t get_i64() { return static_cast<std::int64_t>(get_u64()); }
   double get_f64();
   std::string get_bytes();
+  /// The next `n` raw bytes (no length prefix).
+  std::string get_raw(std::uint64_t n);
 
   bool at_end() const { return cursor_ == bytes_.size(); }
   const std::string& bytes() const { return bytes_; }
   std::string take() { return std::move(bytes_); }
 
  private:
-  void need(std::size_t n) const;
+  void need(std::uint64_t n) const;
 
   std::string bytes_;
   std::size_t cursor_ = 0;
