@@ -1,122 +1,96 @@
 // Section 4/5: compatibility-aware job placement at cluster scale.
-// A leaf-spine cluster receives a mix of jobs; we compare
-//   (a) locality-only placement (today's schedulers) under fair sharing,
-//   (b) locality-only placement + flow scheduling,
-//   (c) compatibility-aware placement under fair sharing,
-//   (d) compatibility-aware placement + flow scheduling,
+// A leaf-spine cluster receives a static mix of jobs, all at t=0, each
+// training past the horizon; the orchestrator places and gates them.  We
+// compare
+//   (a) locality-only admission (today's schedulers) under fair sharing,
+//   (b) locality-only admission + flow scheduling,
+//   (c) compatibility-aware admission under fair sharing,
+//   (d) compatibility-aware admission + flow scheduling,
 // reporting the per-job slowdown vs a dedicated network.  Cluster-level
 // compatibility (§5) is exercised because jobs share different links with
-// different neighbours; the flow scheduler solves each connected group on
-// one unified circle.  Exits 1 unless (d)'s worst slowdown is at most 1.05
-// and strictly below both fair-sharing runs, (a) and (c).
+// different neighbours; the flow scheduler solves each connected group of
+// contended links with one rotation per job.  Exits 1 unless (d)'s worst
+// slowdown is at most 1.05 and strictly below both fair-sharing runs, (a)
+// and (c).
 #include <cstdio>
+#include <cstdlib>
 
-#include "cluster/experiment.h"
-#include "telemetry/table.h"
+#include "orch/orchestrator.h"
 #include "workload/profiler.h"
 
 using namespace ccml;
 
 namespace {
 
-JobRequest make_request(const char* name, int workers, std::int64_t period_ms,
-                        std::int64_t compute_ms) {
-  JobRequest r;
-  r.name = name;
-  r.workers = workers;
-  r.profile = ModelZoo::synthetic(
+JobArrival make_arrival(const char* name, int workers, std::int64_t period_ms,
+                        std::int64_t compute_ms, Duration service) {
+  JobArrival a;
+  a.at = TimePoint::origin();
+  a.service = service;
+  a.request.name = name;
+  a.request.workers = workers;
+  a.request.profile = ModelZoo::synthetic(
       name, Duration::millis(compute_ms),
       Rate::gbps(42.5) * Duration::millis(period_ms - compute_ms));
-  r.comm_profile = CommProfile::single_phase(name, Duration::millis(period_ms),
-                                             Duration::millis(compute_ms),
-                                             Rate::gbps(42.5));
-  return r;
+  a.request.comm_profile = CommProfile::single_phase(
+      name, Duration::millis(period_ms), Duration::millis(compute_ms),
+      Rate::gbps(42.5));
+  return a;
 }
 
-std::vector<JobRequest> workload() {
+ArrivalSchedule workload(Duration service) {
   // 5 racks x 3 hosts, single spine.  Three 4-worker jobs must span racks.
-  // Locality placement ends up co-locating heavy (comm 0.6, period 90) with
-  // lightC (comm 0.3, period 100) on rack 1's uplinks — an incompatible
-  // pairing — while the compatibility-aware policy routes lightC next to
-  // lightB (compatible) instead.
-  return {
-      make_request("heavy", 4, 90, 36),    // comm 0.60
-      make_request("lightB", 4, 100, 70),  // comm 0.30
-      make_request("lightC", 4, 100, 70),  // comm 0.30
-      make_request("local1", 2, 120, 90),  // fits in a rack
+  // Locality admission takes the first ToR pair that fits, chaining heavy
+  // (comm 0.6, period 90) to lightB on rack 1's uplinks and lightB to
+  // lightC (comm 0.3, period 100) on rack 2's — one sharing component that
+  // no set of rotations makes compatible.  Compatibility-aware admission
+  // keeps heavy off shared links and pairs lightB with lightC (compatible).
+  ArrivalSchedule s;
+  s.jobs = {
+      make_arrival("heavy", 4, 90, 36, service),    // comm 0.60
+      make_arrival("lightB", 4, 100, 70, service),  // comm 0.30
+      make_arrival("lightC", 4, 100, 70, service),  // comm 0.30
+      make_arrival("local1", 2, 120, 90, service),  // fits in a rack
   };
+  return s;
 }
 
-void report(const char* title, const ExperimentResult& result) {
-  std::printf("---- %s ----\n", title);
-  TextTable table({"job", "placed", "spans fabric", "iters", "mean ms",
-                   "solo ms", "slowdown"});
-  for (const auto& o : result.outcomes) {
-    table.add_row({o.name, o.placed ? "yes" : "NO",
-                   o.spans_fabric ? "yes" : "", std::to_string(o.iterations),
-                   TextTable::num(o.mean_ms, 0), TextTable::num(o.solo_ms, 0),
-                   TextTable::num(o.slowdown, 2) + "x"});
-  }
-  std::printf("%s", table.render().c_str());
-  std::printf("mean slowdown %.2fx, max %.2fx; shared links: %zu\n\n",
-              result.mean_slowdown(), result.max_slowdown(),
-              result.placement.shared_links.size());
-  for (const auto& sl : result.placement.shared_links) {
-    std::printf("  link %d shared by jobs:", sl.link.value);
-    for (const std::size_t j : sl.jobs) std::printf(" %zu", j);
-    std::printf("  -> %s\n", sl.compatible ? "compatible" : "INCOMPATIBLE");
-  }
-  std::printf("\n");
+double run(const char* title, const Topology& topo, Duration horizon,
+           AdmissionPolicyKind admission, bool flow_schedule) {
+  OrchestratorConfig cfg;
+  cfg.policy = PolicyKind::kMaxMinFair;
+  cfg.admission.policy = admission;
+  cfg.flow_schedule = flow_schedule;
+  cfg.horizon = horizon;
+  const ClusterRunReport r =
+      Orchestrator(topo, workload(horizon * 2), cfg).run();
+  std::printf("---- %s ----\n%s\n", title, r.summary().c_str());
+  return r.max_slowdown();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const int seconds = argc > 1 ? std::atoi(argv[1]) : 10;
+  const Duration horizon = Duration::seconds(seconds);
   const Topology topo =
       Topology::leaf_spine(5, 3, 1, Rate::gbps(50), Rate::gbps(50));
   std::printf("Section 4/5: scheduler comparison on a 5x3 leaf-spine "
               "cluster (%d s simulated per run)\n\n",
               seconds);
 
-  ExperimentConfig cfg;
-  cfg.policy = PolicyKind::kMaxMinFair;
-  cfg.run_time = Duration::seconds(seconds);
-
-  double worst_a = 0.0;
-  double worst_c = 0.0;
-  double worst_d = 0.0;
-  {
-    LocalityPlacement placement;
-    const ExperimentResult r =
-        run_cluster_experiment(topo, workload(), placement, cfg);
-    report("(a) locality placement, fair sharing", r);
-    worst_a = r.max_slowdown();
-  }
-  {
-    LocalityPlacement placement;
-    ExperimentConfig sched = cfg;
-    sched.flow_schedule = true;
-    report("(b) locality placement + flow scheduling (cluster-level "
-           "unified circle)",
-           run_cluster_experiment(topo, workload(), placement, sched));
-  }
-  {
-    CompatibilityAwarePlacement placement;
-    const ExperimentResult r =
-        run_cluster_experiment(topo, workload(), placement, cfg);
-    report("(c) compatibility-aware placement, fair sharing", r);
-    worst_c = r.max_slowdown();
-  }
-  {
-    CompatibilityAwarePlacement placement;
-    ExperimentConfig sched = cfg;
-    sched.flow_schedule = true;
-    const ExperimentResult r =
-        run_cluster_experiment(topo, workload(), placement, sched);
-    report("(d) compatibility-aware placement + flow scheduling", r);
-    worst_d = r.max_slowdown();
-  }
+  const auto locality = AdmissionPolicyKind::kLocalityOnly;
+  const auto compat = AdmissionPolicyKind::kCompatibilityAware;
+  const double worst_a = run("(a) locality placement, fair sharing", topo,
+                             horizon, locality, false);
+  run("(b) locality placement + flow scheduling", topo, horizon, locality,
+      true);
+  const double worst_c =
+      run("(c) compatibility-aware placement, fair sharing", topo, horizon,
+          compat, false);
+  const double worst_d =
+      run("(d) compatibility-aware placement + flow scheduling", topo,
+          horizon, compat, true);
   std::printf(
       "expected shape: (a) incompatible sharing slows heavy+lightC; (b) the "
       "scheduler cannot gate an incompatible group, so it matches (a); (c) "

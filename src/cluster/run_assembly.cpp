@@ -98,14 +98,13 @@ void RunAssembly::run_until(TimePoint end) {
   net.flush_observers();
 }
 
-JobSpec ring_job_spec(const Topology& topo, const Router& router,
-                      const JobRequest& request,
+JobSpec ring_job_spec(const Router& router, const JobRequest& request,
                       const std::vector<NodeId>& hosts, std::size_t job) {
   JobSpec spec;
   spec.id = JobId{static_cast<std::int32_t>(job)};
   spec.name = request.name;
   spec.profile = request.profile;
-  spec.paths = ring_paths(topo, router, hosts, job);
+  spec.paths = ring_paths(router, hosts, job);
   spec.split_bytes = false;  // ring: full wire bytes per worker path
   if (spec.paths.empty()) {
     // Network::start_flow rejects the empty route, but TrainingJob never

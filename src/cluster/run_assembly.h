@@ -1,12 +1,12 @@
 // The run wiring the simulation harnesses share.
 //
-// run_dumbbell_scenario (the §2 dumbbell), run_cluster_experiment (the
-// static §4/§5 placement comparison) and Orchestrator::run (the online
-// scheduler) each build one RunAssembly and add only what is theirs: jobs,
-// gate solves, admission.  The assembly owns the decisions they used to
-// make separately — the engine, the trace preamble, the kSolve event, the
-// fault injector and its watchdog diagnosis, and the engine's checkpoint
-// sections — so each format has one home.
+// run_dumbbell_scenario (the §2 dumbbell) and Orchestrator::run (the
+// cluster scheduler, static §4/§5 placement comparisons included) each
+// build one RunAssembly and add only what is theirs: jobs, gate solves,
+// admission.  The assembly owns the decisions they used to make separately
+// — the engine, the trace preamble, the kSolve event, the fault injector
+// and its watchdog diagnosis, and the engine's checkpoint sections — so
+// each format has one home.
 #pragma once
 
 #include <functional>
@@ -100,8 +100,7 @@ inline std::uint64_t jitter_seed(std::size_t job) {
 /// A placed ring-allreduce job: one path per worker to the next, each
 /// carrying the full per-worker wire bytes.  A single-worker job has no
 /// network phase and is given zero communication bytes.
-JobSpec ring_job_spec(const Topology& topo, const Router& router,
-                      const JobRequest& request,
+JobSpec ring_job_spec(const Router& router, const JobRequest& request,
                       const std::vector<NodeId>& hosts, std::size_t job);
 
 /// Steady-state iteration times in ms: drops the first min(n/5, 10)

@@ -54,7 +54,7 @@ int AdmissionController::free_host_count() const {
 std::vector<LinkId> AdmissionController::job_links(
     const std::vector<NodeId>& hosts, std::uint64_t salt) const {
   std::set<LinkId> links;
-  for (const JobPath& p : ring_paths(topo_, router_, hosts, salt)) {
+  for (const JobPath& p : ring_paths(router_, hosts, salt)) {
     links.insert(p.route.links.begin(), p.route.links.end());
   }
   return {links.begin(), links.end()};

@@ -2,7 +2,7 @@
 //
 // The controller owns the cluster's free-host inventory and answers one
 // question per arrival: admit now (and on which hosts), or defer?  Two
-// policies mirror the offline placement pair (cluster/placement.h):
+// policies:
 //  * kLocalityOnly — today's practice: admit whenever capacity exists,
 //    packing under as few ToRs as possible, blind to link sharing.
 //  * kCompatibilityAware — rack-local placements are always safe; spanning

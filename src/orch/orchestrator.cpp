@@ -115,6 +115,15 @@ Orchestrator::Orchestrator(const Topology& topo, ArrivalSchedule schedule,
   if (config_.horizon <= Duration::zero()) {
     throw std::invalid_argument("Orchestrator: horizon must be positive");
   }
+  for (const JobArrival& arr : schedule_.jobs) {
+    const auto bad = [&](const char* why) {
+      return std::invalid_argument("Orchestrator: job '" + arr.request.name +
+                                   "' " + why);
+    };
+    if (arr.request.workers < 1) throw bad("needs at least one worker");
+    if (arr.at < TimePoint::origin()) throw bad("arrives before time zero");
+    if (arr.service < Duration::zero()) throw bad("has a negative service");
+  }
   for (const FaultEvent& ev : config_.faults.events) {
     if (!ev.is_link_event()) {
       throw std::invalid_argument(
@@ -259,8 +268,10 @@ ClusterRunReport Orchestrator::run() {
                         cache_hit ? "cached" : nullptr);
       };
       const auto ungate = [&] {
-        // Gating an incompatible group is actively harmful (see
-        // cluster/experiment.cpp): fall back to ungated transport.
+        // Gating an incompatible group is actively harmful: contention
+        // stretches a communication phase past its slot, the job waits a
+        // full period for the next one, and iteration times balloon.  Fall
+        // back to ungated transport.
         for (const std::size_t j : members) {
           state[j].job->set_gate(std::nullopt);
           state[j].rotation.reset();
@@ -351,8 +362,7 @@ ClusterRunReport Orchestrator::run() {
          s.placement.spans_fabric ? 1.0 : 0.0);
     if (trace != nullptr) trace->counter("orch.admitted").add();
 
-    JobSpec spec =
-        ring_job_spec(topo_, run.router, arr.request, s.placement.hosts, j);
+    JobSpec spec = ring_job_spec(run.router, arr.request, s.placement.hosts, j);
     spec.start = sim.now();
     spec.compute_jitter = config_.compute_jitter;
     spec.jitter_seed = jitter_seed(j);

@@ -1,14 +1,16 @@
 // The online cluster orchestrator: a long-horizon control loop above
 // placement and the compatibility solver.
 //
-// Where cluster/experiment.h runs a *static* job set to steady state, the
-// orchestrator drives a *dynamic* one: jobs arrive (orch/arrivals.h), are
-// admitted / queued / rejected (orch/admission.h), train for their service
-// time, and depart — while scripted link faults (src/faults) hit the fabric
-// on the same timeline.  On every churn or topology event the live jobs'
-// communication gates are re-derived through the IncrementalResolver
-// (orch/resolve.h), so unchanged sharing groups cost a cache lookup and
-// shrunken ones usually just a warm-start certificate.
+// The orchestrator drives a job set over time: jobs arrive
+// (orch/arrivals.h), are admitted / queued / rejected (orch/admission.h),
+// train for their service time, and depart — while scripted link faults
+// (src/faults) hit the fabric on the same timeline.  A static job set is
+// the special case of a hand-built schedule whose jobs all arrive at t=0
+// and train past the horizon (bench/s5_cluster_placement).  On every churn
+// or topology event the live jobs' communication gates are re-derived
+// through the IncrementalResolver (orch/resolve.h), so unchanged sharing
+// groups cost a cache lookup and shrunken ones usually just a warm-start
+// certificate.
 //
 // Determinism contract: a run is a pure function of (topology, arrival
 // schedule, config).  ClusterRunReport::summary() and any attached trace
@@ -161,8 +163,10 @@ struct ClusterRunReport {
 
 class Orchestrator {
  public:
-  /// Throws std::invalid_argument when the config is malformed (job events
-  /// in the fault plan, non-positive horizon).  `topo` must outlive run().
+  /// Throws std::invalid_argument when the schedule or config is malformed
+  /// (a job with no workers, an arrival before time zero, a negative
+  /// service, job events in the fault plan, a non-positive horizon).  `topo`
+  /// must outlive run().
   Orchestrator(const Topology& topo, ArrivalSchedule schedule,
                OrchestratorConfig config);
 

@@ -1,11 +1,13 @@
-// Golden FNV-1a hashes pinning the three run harnesses across refactors:
-// run_dumbbell_scenario (the §2 dumbbell), Orchestrator::run (the online
-// cluster scheduler) and run_cluster_experiment (the static §4/§5 placement
-// comparison).  Each run exercises every piece of wiring its harness owns —
-// engine, trace preamble, faults, gate solves and checkpoint sections — and
-// hashes the result, the full JSONL trace and every section of the last
-// snapshot.  The expected values were captured before the harnesses shared
-// any code; a refactor of the run wiring must reproduce them bit for bit.
+// Golden FNV-1a hashes pinning the two run harnesses across refactors:
+// run_dumbbell_scenario (the §2 dumbbell) and Orchestrator::run (the
+// cluster scheduler, under churn and as the static §4/§5 placement
+// comparison).  The dumbbell and churn runs exercise every piece of wiring
+// their harness owns — engine, trace preamble, faults, gate solves and
+// checkpoint sections — and hash the result, the full JSONL trace and every
+// section of the last snapshot; their expected values were captured before
+// the harnesses shared any code.  The static comparison hashes the summary
+// of each of its four admission x flow-schedule runs.  A refactor of the
+// run wiring must reproduce them bit for bit.
 //
 // Two further families pin hot paths whose optimisations must not move a
 // single bit: the untraced ideal allocators (max-min, WFQ, strict priority
@@ -25,7 +27,6 @@
 
 #include "ckpt/checkpoint.h"
 #include "ckpt/snapshot.h"
-#include "cluster/experiment.h"
 #include "cluster/scenario.h"
 #include "core/solver.h"
 #include "net/routing.h"
@@ -207,75 +208,68 @@ TEST(HarnessGolden, Orchestrator) {
   });
 }
 
-// --- run_cluster_experiment -------------------------------------------------
+// --- Orchestrator: static §4/§5 placement comparison ----------------------
 
-JobRequest request(const char* name, int workers, std::int64_t period_ms,
-                   std::int64_t compute_ms) {
-  JobRequest r;
-  r.name = name;
-  r.workers = workers;
-  r.profile = ModelZoo::synthetic(
+JobArrival static_job(const char* name, int workers, std::int64_t period_ms,
+                      std::int64_t compute_ms) {
+  JobArrival a;
+  a.at = TimePoint::origin();
+  a.service = Duration::seconds(6);  // past the horizon: never departs
+  a.request.name = name;
+  a.request.workers = workers;
+  a.request.profile = ModelZoo::synthetic(
       name, Duration::millis(compute_ms),
       Rate::gbps(42.5) * Duration::millis(period_ms - compute_ms));
-  r.comm_profile = CommProfile::single_phase(name, Duration::millis(period_ms),
-                                             Duration::millis(compute_ms),
-                                             Rate::gbps(42.5));
-  return r;
+  a.request.comm_profile = CommProfile::single_phase(
+      name, Duration::millis(period_ms), Duration::millis(compute_ms),
+      Rate::gbps(42.5));
+  return a;
 }
 
-std::uint64_t experiment_hash(const ExperimentResult& r) {
-  Fnv h;
-  for (const JobOutcome& o : r.outcomes) {
-    h.str(o.name).u64(o.iterations).f64(o.mean_ms).f64(o.median_ms);
-    h.f64(o.p99_ms).f64(o.solo_ms).f64(o.slowdown);
-    h.u64(o.placed).u64(o.spans_fabric);
-  }
-  for (const auto& sl : r.placement.shared_links) {
-    h.u64(static_cast<std::uint64_t>(sl.link.value)).u64(sl.compatible);
-    for (const std::size_t j : sl.jobs) h.u64(j);
-  }
-  return h.f64(r.mean_slowdown()).f64(r.max_slowdown()).value();
-}
-
-TEST(HarnessGolden, ClusterExperimentS5Configurations) {
-  // bench/s5_cluster_placement's cluster and workload, 3 s per run.
+TEST(HarnessGolden, OrchestratorS5StaticPlacement) {
+  // bench/s5_cluster_placement's cluster and workload, 3 s per run: the
+  // four admission x flow-schedule runs, each hashed from its summary (what
+  // the bench prints) and its JSONL trace (which pins the placements: every
+  // flow's route).
   const Topology topo =
       Topology::leaf_spine(5, 3, 1, Rate::gbps(50), Rate::gbps(50));
-  const std::vector<JobRequest> workload = {
-      request("heavy", 4, 90, 36), request("lightB", 4, 100, 70),
-      request("lightC", 4, 100, 70), request("local1", 2, 120, 90)};
-  ExperimentConfig cfg;
-  cfg.policy = PolicyKind::kMaxMinFair;
-  cfg.run_time = Duration::seconds(3);
-  ExperimentConfig sched = cfg;
-  sched.flow_schedule = true;
-
+  ArrivalSchedule schedule;
+  schedule.jobs = {static_job("heavy", 4, 90, 36),
+                   static_job("lightB", 4, 100, 70),
+                   static_job("lightC", 4, 100, 70),
+                   static_job("local1", 2, 120, 90)};
   Hashes actual;
-  {
-    LocalityPlacement p;
-    actual.emplace_back("a", experiment_hash(
-                                 run_cluster_experiment(topo, workload, p, cfg)));
-  }
-  {
-    LocalityPlacement p;
-    actual.emplace_back(
-        "b", experiment_hash(run_cluster_experiment(topo, workload, p, sched)));
-  }
-  {
-    CompatibilityAwarePlacement p;
-    actual.emplace_back("c", experiment_hash(
-                                 run_cluster_experiment(topo, workload, p, cfg)));
-  }
-  {
-    CompatibilityAwarePlacement p;
-    actual.emplace_back(
-        "d", experiment_hash(run_cluster_experiment(topo, workload, p, sched)));
-  }
+  const auto run = [&](const std::string& name, AdmissionPolicyKind admission,
+                       bool flow_schedule) {
+    std::ostringstream trace_out;
+    TraceBus bus;
+    JsonlSink sink(trace_out, JsonlSinkOptions{Duration::millis(50)});
+    bus.add_sink(sink);
+    OrchestratorConfig cfg;
+    cfg.policy = PolicyKind::kMaxMinFair;
+    cfg.admission.policy = admission;
+    cfg.flow_schedule = flow_schedule;
+    cfg.horizon = Duration::seconds(3);
+    cfg.trace = &bus;
+    const std::string summary =
+        Orchestrator(topo, schedule, cfg).run().summary();
+    bus.flush();
+    actual.emplace_back(name + ".summary", hash_of(summary));
+    actual.emplace_back(name + ".trace", hash_of(trace_out.str()));
+  };
+  run("a", AdmissionPolicyKind::kLocalityOnly, false);
+  run("b", AdmissionPolicyKind::kLocalityOnly, true);
+  run("c", AdmissionPolicyKind::kCompatibilityAware, false);
+  run("d", AdmissionPolicyKind::kCompatibilityAware, true);
   expect_golden(actual, {
-      {"a", 0xcebbf2f4c87069b3ULL},
-      {"b", 0xcebbf2f4c87069b3ULL},
-      {"c", 0x05b38690a67ad08dULL},
-      {"d", 0xf3e27005fdb3bb22ULL},
+      {"a.summary", 0x981054f8d5245f85ULL},
+      {"a.trace", 0x85c0a218b64b89aeULL},
+      {"b.summary", 0x58675da918f8d526ULL},
+      {"b.trace", 0x76526fea0a44c2dfULL},
+      {"c.summary", 0x727aa1b077aaf5deULL},
+      {"c.trace", 0x4fc1982b74b7dfe3ULL},
+      {"d.summary", 0xf0662730f7dd69abULL},
+      {"d.trace", 0x5aa93280244ccee8ULL},
   });
 }
 

@@ -1,7 +1,8 @@
 // Tests for the online orchestrator subsystem (src/orch): arrival
 // generation, the incremental resolver's cache and warm-start paths,
-// admission-control verdicts, and the end-to-end determinism contract
-// (byte-identical reports and traces across runs and sweep thread counts).
+// admission-control verdicts, schedule validation, the end-to-end
+// determinism contract (byte-identical reports and traces across runs and
+// sweep thread counts), and static batches (the §4/§5 placement runs).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +22,18 @@ CommProfile phase_profile(const char* name, double period_ms,
   return CommProfile::single_phase(
       name, Duration::from_millis_f(period_ms),
       Duration::from_millis_f(period_ms - comm_ms), Rate::gbps(42.5));
+}
+
+JobRequest request(const char* name, int workers, double period_ms,
+                   double comm_ms) {
+  JobRequest r;
+  r.name = name;
+  r.workers = workers;
+  r.profile = ModelZoo::synthetic(
+      name, Duration::from_millis_f(period_ms - comm_ms),
+      Rate::gbps(42.5) * Duration::from_millis_f(comm_ms));
+  r.comm_profile = phase_profile(name, period_ms, comm_ms);
+  return r;
 }
 
 // --- Arrivals ---------------------------------------------------------------
@@ -142,23 +155,11 @@ struct AdmissionHarness {
 
   explicit AdmissionHarness(AdmissionConfig cfg = {})
       : ctl(topo, router, cfg, resolver) {}
-
-  JobRequest request(const char* name, int workers, double period_ms,
-                     double comm_ms) {
-    JobRequest r;
-    r.name = name;
-    r.workers = workers;
-    r.profile = ModelZoo::synthetic(
-        name, Duration::from_millis_f(period_ms - comm_ms),
-        Rate::gbps(42.5) * Duration::from_millis_f(comm_ms));
-    r.comm_profile = phase_profile(name, period_ms, comm_ms);
-    return r;
-  }
 };
 
 TEST(Admission, RackLocalWheneverItFits) {
   AdmissionHarness h;
-  const auto offer = h.ctl.offer(h.request("j0", 2, 100, 30), 0, {});
+  const auto offer = h.ctl.offer(request("j0", 2, 100, 30), 0, {});
   ASSERT_EQ(offer.verdict, AdmissionOffer::Verdict::kAdmit);
   EXPECT_FALSE(offer.placement.spans_fabric);
   EXPECT_EQ(offer.placement.hosts.size(), 2u);
@@ -167,17 +168,17 @@ TEST(Admission, RackLocalWheneverItFits) {
 
 TEST(Admission, DefersWhenNoCapacity) {
   AdmissionHarness h;
-  const auto first = h.ctl.offer(h.request("big", 5, 100, 30), 0, {});
+  const auto first = h.ctl.offer(request("big", 5, 100, 30), 0, {});
   ASSERT_EQ(first.verdict, AdmissionOffer::Verdict::kAdmit);
   EXPECT_TRUE(first.placement.spans_fabric);
-  const auto second = h.ctl.offer(h.request("late", 2, 100, 30), 1, {});
+  const auto second = h.ctl.offer(request("late", 2, 100, 30), 1, {});
   EXPECT_EQ(second.verdict, AdmissionOffer::Verdict::kDefer);
   EXPECT_TRUE(second.capacity_blocked);
 
   // Releasing the first job's hosts lets the second in.
   h.ctl.release(first.placement.hosts);
   EXPECT_EQ(h.ctl.free_host_count(), 6);
-  const auto retry = h.ctl.offer(h.request("late", 2, 100, 30), 1, {});
+  const auto retry = h.ctl.offer(request("late", 2, 100, 30), 1, {});
   EXPECT_EQ(retry.verdict, AdmissionOffer::Verdict::kAdmit);
 }
 
@@ -187,14 +188,14 @@ TEST(Admission, CompatibilityAwareDefersIncompatibleSharing) {
   // (both communicate > 50% of equal periods: no rotation can separate
   // them).
   AdmissionHarness h;
-  const auto inc = h.ctl.offer(h.request("incumbent", 3, 100, 60), 0, {});
+  const auto inc = h.ctl.offer(request("incumbent", 3, 100, 60), 0, {});
   ASSERT_EQ(inc.verdict, AdmissionOffer::Verdict::kAdmit);
   ASSERT_TRUE(inc.placement.spans_fabric);
   const auto inc_profile = phase_profile("incumbent", 100, 60);
   const std::vector<Incumbent> incumbents = {
       {0, &inc_profile, h.ctl.job_links(inc.placement.hosts, 0)}};
 
-  const auto clash = h.ctl.offer(h.request("clash", 3, 100, 60), 1,
+  const auto clash = h.ctl.offer(request("clash", 3, 100, 60), 1,
                                  incumbents);
   EXPECT_EQ(clash.verdict, AdmissionOffer::Verdict::kDefer);
   EXPECT_FALSE(clash.capacity_blocked);
@@ -202,7 +203,7 @@ TEST(Admission, CompatibilityAwareDefersIncompatibleSharing) {
   EXPECT_GT(clash.worst_violation, 0.0);
 
   // A compatible newcomer (30% + 60% < 100%) is admitted.
-  const auto fits = h.ctl.offer(h.request("fits", 3, 100, 30), 1, incumbents);
+  const auto fits = h.ctl.offer(request("fits", 3, 100, 30), 1, incumbents);
   EXPECT_EQ(fits.verdict, AdmissionOffer::Verdict::kAdmit);
 }
 
@@ -210,12 +211,12 @@ TEST(Admission, LocalityOnlyIgnoresCompatibility) {
   AdmissionConfig cfg;
   cfg.policy = AdmissionPolicyKind::kLocalityOnly;
   AdmissionHarness h(cfg);
-  const auto inc = h.ctl.offer(h.request("incumbent", 3, 100, 60), 0, {});
+  const auto inc = h.ctl.offer(request("incumbent", 3, 100, 60), 0, {});
   ASSERT_EQ(inc.verdict, AdmissionOffer::Verdict::kAdmit);
   const auto inc_profile = phase_profile("incumbent", 100, 60);
   const std::vector<Incumbent> incumbents = {
       {0, &inc_profile, h.ctl.job_links(inc.placement.hosts, 0)}};
-  const auto clash = h.ctl.offer(h.request("clash", 3, 100, 60), 1,
+  const auto clash = h.ctl.offer(request("clash", 3, 100, 60), 1,
                                  incumbents);
   EXPECT_EQ(clash.verdict, AdmissionOffer::Verdict::kAdmit);
 }
@@ -387,6 +388,36 @@ TEST(Orchestrator, RejectsJobEventsInFaultPlan) {
                std::invalid_argument);
 }
 
+TEST(Orchestrator, RejectsMalformedSchedule) {
+  const Topology topo = small_cluster_topo();
+  const auto schedule_with = [](auto&& mutate) {
+    ArrivalSchedule s;
+    s.jobs.push_back({TimePoint::origin(), Duration::seconds(1),
+                      request("j", 2, 100, 30)});
+    mutate(s.jobs.front());
+    return s;
+  };
+  OrchestratorConfig cfg;
+  cfg.horizon = Duration::seconds(2);
+  // No workers: admission would place it "rack-local" on no hosts.
+  EXPECT_THROW(Orchestrator(topo, schedule_with([](JobArrival& a) {
+                              a.request.workers = 0;
+                            }), cfg),
+               std::invalid_argument);
+  EXPECT_THROW(Orchestrator(topo, schedule_with([](JobArrival& a) {
+                              a.at = TimePoint::origin() - Duration::millis(1);
+                            }), cfg),
+               std::invalid_argument);
+  EXPECT_THROW(Orchestrator(topo, schedule_with([](JobArrival& a) {
+                              a.service = Duration::millis(-1);
+                            }), cfg),
+               std::invalid_argument);
+  // The unmutated schedule runs.
+  const ClusterRunReport r =
+      Orchestrator(topo, schedule_with([](JobArrival&) {}), cfg).run();
+  EXPECT_EQ(r.finished, 1u);
+}
+
 TEST(Orchestrator, ByteDeterministicReportAndTrace) {
   const auto run_once = [](std::string& trace_out) {
     const Topology topo = small_cluster_topo();
@@ -451,6 +482,60 @@ TEST(Orchestrator, CompatibilityAwareBeatsLocalityOnSlowdown) {
                        AdmissionPolicyKind::kCompatibilityAware))
           .run();
   EXPECT_LE(compat.mean_slowdown(), locality.mean_slowdown() + 1e-9);
+}
+
+// --- Static batches ---------------------------------------------------------
+// A static job set is a schedule whose jobs all arrive at t=0 and train past
+// the horizon (bench/s5_cluster_placement).
+
+ClusterRunReport run_static_batch(const Topology& topo,
+                                  const std::vector<JobRequest>& requests,
+                                  bool flow_schedule) {
+  OrchestratorConfig cfg;
+  cfg.policy = PolicyKind::kMaxMinFair;
+  cfg.admission.policy = AdmissionPolicyKind::kLocalityOnly;
+  cfg.flow_schedule = flow_schedule;
+  cfg.horizon = Duration::seconds(3);
+  ArrivalSchedule schedule;
+  for (const JobRequest& r : requests) {
+    schedule.jobs.push_back({TimePoint::origin(), cfg.horizon * 2, r});
+  }
+  return Orchestrator(topo, std::move(schedule), cfg).run();
+}
+
+TEST(StaticBatch, RackLocalJobsRunAtSoloSpeed) {
+  const Topology topo =
+      Topology::leaf_spine(2, 4, 2, Rate::gbps(50), Rate::gbps(100));
+  const ClusterRunReport r = run_static_batch(
+      topo, {request("a", 4, 100, 30), request("b", 4, 100, 30)}, false);
+  ASSERT_EQ(r.jobs.size(), 2u);
+  for (const auto& j : r.jobs) {
+    EXPECT_EQ(j.state, ClusterJobOutcome::State::kRunning) << j.name;
+    EXPECT_FALSE(j.spans_fabric) << j.name;
+    EXPECT_GT(j.iterations, 10u) << j.name;
+    // Rack-local ring through a non-blocking ToR: no contention, so the
+    // iteration time matches the solo baseline closely.
+    EXPECT_NEAR(j.slowdown, 1.0, 0.05) << j.name;
+  }
+}
+
+TEST(StaticBatch, FlowScheduleRemovesContention) {
+  // Two 5-worker jobs in 3 racks of 4: both must span, and both rings cross
+  // rack 1's uplinks.  Under fair sharing they contend; the §4(iii) flow
+  // scheduler gates their comm phases apart, so both approach solo speed.
+  const Topology topo =
+      Topology::leaf_spine(3, 4, 1, Rate::gbps(50), Rate::gbps(50));
+  const std::vector<JobRequest> jobs = {request("a", 5, 100, 30),
+                                        request("b", 5, 100, 30)};
+  const ClusterRunReport fair = run_static_batch(topo, jobs, false);
+  EXPECT_GT(fair.max_slowdown(), 1.1);
+  const ClusterRunReport gated = run_static_batch(topo, jobs, true);
+  ASSERT_EQ(gated.jobs.size(), 2u);
+  for (const auto& j : gated.jobs) {
+    EXPECT_TRUE(j.spans_fabric) << j.name;
+    EXPECT_GT(j.iterations, 10u) << j.name;
+    EXPECT_LT(j.slowdown, 1.12) << j.name;
+  }
 }
 
 }  // namespace
